@@ -277,18 +277,8 @@ def order_for_query(
     n_pool = len(pool.entries)
     scores = sims.mean(axis=0)
 
-    order: list[int] = []
+    picked: list[int] = []
     cur = np.full(query.n_tokens, EMPTY_SET_COVERAGE)
-    ranked: list[RankedEntry] = []
-
-    def emit(j: int) -> None:
-        before = cur.mean()
-        np.maximum(cur, sims[:, j], out=cur)
-        after = cur.mean()
-        ranked.append(
-            RankedEntry(pool.entries[j].item_id, float(after - before), float(after))
-        )
-
     remaining = np.ones(n_pool, dtype=bool)
     if mode == "set_bsr_greedy":
         while remaining.any():
@@ -298,10 +288,18 @@ def order_for_query(
             if gains[best] <= GAIN_FLOOR:
                 break
             remaining[best] = False
-            emit(best)
+            picked.append(best)
+            np.maximum(cur, sims[:, best], out=cur)
     # fallback for exhausted gains, and the whole ordering in independent mode:
     # descending independent score, stable sort keeps lower index first on ties
-    for j in np.argsort(-scores, kind="stable"):
-        if remaining[j]:
-            emit(int(j))
+    tail = np.argsort(-scores, kind="stable")
+    order = np.concatenate([np.array(picked, dtype=np.intp), tail[remaining[tail]]])
+    # row r holds the per-token maxima over the first r members; each row mean
+    # is a contiguous 1-D reduction, so it equals a member-by-member fold exactly
+    running = np.vstack([np.full((1, query.n_tokens), EMPTY_SET_COVERAGE), sims[:, order].T])
+    coverage = np.maximum.accumulate(running, axis=0).mean(axis=1)
+    ranked = [
+        RankedEntry(pool.entries[j].item_id, gain, cov)
+        for j, gain, cov in zip(order.tolist(), np.diff(coverage).tolist(), coverage[1:].tolist())
+    ]
     return QueryOrdering(query_id=query.item_id, ranked=ranked)

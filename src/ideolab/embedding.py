@@ -227,16 +227,17 @@ class HttpProvider:
                 resp = requests.post(self.url, json={"text": text}, timeout=self.timeout)
                 if resp.status_code >= 500:
                     raise ProviderUnreachableError(f"HTTP {resp.status_code} from {self.url}")
-                resp.raise_for_status()
-                body = resp.json()
                 break
-            except (requests.ConnectionError, requests.Timeout, ProviderUnreachableError) as exc:
+            except (requests.RequestException, ProviderUnreachableError) as exc:
                 last_error = exc
                 if attempt >= self.retries:
                     raise ProviderUnreachableError(str(exc)) from exc
                 time.sleep(min(2.0**attempt, 10.0))
         else:  # pragma: no cover
             raise ProviderUnreachableError(str(last_error))
+        # a 4xx or an undecodable body is not retried: the same request fails again
+        resp.raise_for_status()
+        body = resp.json()
         if int(body["dim"]) != self.dim:
             raise DimensionMismatchError(
                 f"{item_id}: service returned dim {body['dim']}, expected {self.dim}"

@@ -231,7 +231,7 @@ class ChatCompletionsClient:
         }
         try:
             resp = self._session.post(url, json=payload, headers=headers, timeout=self.cfg.timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
+        except requests.RequestException as exc:
             raise TransportError(f"request failed: {exc}") from exc
         if resp.status_code == 429:
             retry_after = None

@@ -5,6 +5,7 @@ from ideolab.corpus import ContentItem, Ideology
 from ideolab.coverage import (
     CandidatePool,
     CoverageError,
+    _max_sim_matrix,
     bsr,
     build_candidate_pool,
     order_for_query,
@@ -232,6 +233,33 @@ class TestOrderForQuery:
             np.testing.assert_allclose(
                 [r.cumulative_coverage for r in ordering.ranked], want_cum, atol=1e-6
             )
+
+    @pytest.mark.parametrize("mode", ["set_bsr_greedy", "independent_bsr"])
+    def test_recorded_values_are_exact_for_long_queries(self, mode):
+        # 9+ query tokens take numpy's pairwise-summation path in mean(). The
+        # values must equal a member-by-member fold over the same similarity
+        # columns bit for bit; set_coverage agrees only to rounding, because
+        # BLAS may round a one-candidate product differently from the stacked one
+        rng = np.random.default_rng(41)
+        for trial in range(25):
+            dim = int(rng.integers(4, 17))
+            n = int(rng.integers(5, 26))
+            items = labeled_items(n)
+            emb = {it.id: make_embedding(it.id, random_token_set(rng, dim, max_tokens=6)) for it in items}
+            query = make_embedding("q", random_token_set(rng, dim, min_tokens=9, max_tokens=20))
+            pool = build_candidate_pool(items, emb, n=n, probe_size=n, seed=trial)
+            sims = _max_sim_matrix(query.token_vectors, [emb[i].token_vectors for i in pool.ids()])
+            column = dict(zip(pool.ids(), sims.T))
+            ranked = order_for_query(query, pool, emb, mode=mode).ranked
+            cur = np.full(query.n_tokens, -1.0)
+            previous = -1.0
+            for rank, entry in enumerate(ranked, start=1):
+                np.maximum(cur, column[entry.item_id], out=cur)
+                assert entry.cumulative_coverage == float(cur.mean())
+                assert entry.marginal_gain == entry.cumulative_coverage - previous
+                prefix = [emb[r.item_id] for r in ranked[:rank]]
+                assert entry.cumulative_coverage == pytest.approx(set_coverage(query, prefix), abs=1e-12)
+                previous = entry.cumulative_coverage
 
     def test_independent_mode_tie_preserves_input_order(self, basis):
         e1, _, _ = basis

@@ -231,6 +231,25 @@ class TestHttpProvider:
         with pytest.raises(DimensionMismatchError):
             embed_item(item(), TITLE, provider)
 
+    def test_broken_body_is_retried(self, embed_endpoint, monkeypatch):
+        import requests
+
+        url, _ = embed_endpoint
+        real_post = requests.post
+        calls = []
+
+        def flaky_post(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
+            return real_post(*args, **kwargs)
+
+        monkeypatch.setattr(requests, "post", flaky_post)
+        monkeypatch.setattr("ideolab.embedding.time.sleep", lambda _: None)
+        tokens, _ = HttpProvider(url, dim=4, retries=1).fetch("a", "fh", "text")
+        assert tokens.shape == (2, 4)
+        assert len(calls) == 2
+
     def test_unreachable_raises_after_retries(self):
         provider = HttpProvider("http://127.0.0.1:9", dim=4, timeout=0.2, retries=1)
         with pytest.raises(ProviderUnreachableError):

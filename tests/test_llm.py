@@ -331,6 +331,38 @@ class TestHttpClient:
         record = classify(prompt_with_demos([]), cfg, client, query_id="q", sleep=lambda _: None)
         assert record.parse_status == "ok"
 
+    def test_broken_body_is_a_transport_error_not_a_lost_batch(self):
+        import requests
+
+        class _Response:
+            status_code = 200
+            headers = {}
+
+            def json(self):
+                return {"choices": [{"message": {"content": "neutral"}}]}
+
+        class _Session:
+            def post(self, url, json, headers, timeout):
+                if "Title: q2" in json["messages"][-1]["content"]:
+                    raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
+                return _Response()
+
+        cfg = LLMConfig(base_url="http://127.0.0.1:9", max_in_flight=2, max_retries=2)
+        client = ChatCompletionsClient(cfg)
+        client._session = _Session()
+        tasks = [
+            (f"q{i}", N, RenderedPrompt(instruction="Classify.", demo_blocks=(), query_block=f"Title: q{i}"))
+            for i in range(4)
+        ]
+        records = classify_batch(tasks, cfg, client, sleep=lambda _: None)
+        assert [r.query_id for r in records] == ["q0", "q1", "q2", "q3"]
+        by_id = {r.query_id: r for r in records}
+        assert by_id["q2"].parse_status == "transport_error"
+        assert by_id["q2"].attempts == 3
+        assert by_id["q2"].pred is None
+        assert by_id["q2"].raw_response.startswith("[error] request failed")
+        assert all(by_id[q].parse_status == "ok" for q in ("q0", "q1", "q3"))
+
 
 class TestPredictionRecordSerialization:
     def test_round_trip(self):
