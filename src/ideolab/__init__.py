@@ -88,7 +88,6 @@ from .selection import (
     DemonstrationSet,
     SelectionError,
     balanced_select,
-    class_quota,
     random_select,
 )
 from .synthetic import cluster_sentence_embeddings, synthetic_corpus

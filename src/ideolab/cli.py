@@ -18,19 +18,13 @@ from pathlib import Path
 from typing import Optional
 
 from .config import RunConfig
-from .corpus import (
-    ContentItem,
-    DatasetError,
-    LabelMapping,
-    load_dataset,
-    write_dataset,
-)
-from .coverage import CandidatePool, CoverageError, build_candidate_pool, order_for_query
-from .embedding import EmbeddingCache, EmbeddingError, embed_item, embed_many, load_provider
-from .evaluation import EvaluationError, mcnemar, score
+from .corpus import ContentItem, LabelMapping, load_dataset, write_dataset
+from .coverage import CandidatePool, build_candidate_pool, order_for_query
+from .embedding import EmbeddingCache, ProviderUnreachableError, embed_item, embed_many, load_provider
+from .evaluation import mcnemar, score
 from .llm import ChatCompletionsClient, LLMConfig, PredictionRecord, classify_batch, mock_from_spec
-from .prompting import FIELD_GRID, FieldConfig, PromptError, render
-from .selection import DemonstrationSet, SelectionError, balanced_select, random_select
+from .prompting import FIELD_GRID, FieldConfig, render
+from .selection import DemonstrationSet, balanced_select, random_select
 
 K_GRID = (0, 4, 8, 12)
 
@@ -336,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--embed-provider", dest="embed_provider", help="hashed | file:<path> | http(s)://<url>")
         p.add_argument("--embed-dim", dest="embed_dim", type=int)
         p.add_argument("--cache-dir", dest="cache_dir")
-        p.add_argument("--source-map", dest="source_map")
         p.add_argument("--out")
 
     for name in ("ingest", "embed", "pool", "classify", "eval", "ablate"):
@@ -355,33 +348,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "dataset",
-    "train_dataset",
-    "label_scheme",
-    "fields",
-    "k",
-    "select",
-    "order",
-    "pool_size",
-    "probe_size",
-    "pool_file",
-    "seed",
-    "cot",
-    "mock",
-    "model_name",
-    "embed_provider",
-    "embed_dim",
-    "cache_dir",
-    "source_map",
-    "out",
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
-    return cfg.merged(overrides)
+    config_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return cfg.merged({key: value for key, value in vars(args).items() if key in config_fields})
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -404,17 +374,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "ablate":
             return cmd_ablate(cfg, dump_prompts=getattr(args, "dump_prompts", False))
         raise CliError(f"unknown command: {args.command}")  # pragma: no cover
-    except (
-        CliError,
-        DatasetError,
-        CoverageError,
-        EmbeddingError,
-        EvaluationError,
-        PromptError,
-        SelectionError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (CliError, ProviderUnreachableError, ValueError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1

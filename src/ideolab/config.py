@@ -41,7 +41,6 @@ class RunConfig:
     embed_provider: str = "hashed"  # hashed | file:<path> | http(s)://<url>
     embed_dim: int = 64
     cache_dir: str = ""
-    source_map: str = ""
     bootstrap_resamples: int = 1000
     out: str = "runs"
 

@@ -30,6 +30,7 @@ from .embedding import TokenEmbeddingSet
 
 EMPTY_SET_COVERAGE = -1.0
 GAIN_FLOOR = 1e-9
+_MAX_CHUNK_ELEMENTS = 8_000_000  # cap on one similarity block in _max_sim_matrix
 
 ORDERING_MODES = ("set_bsr_greedy", "independent_bsr")
 
@@ -68,19 +69,15 @@ def set_coverage(query: TokenEmbeddingSet, members: Sequence[TokenEmbeddingSet])
     return float(cur.mean())
 
 
-def _max_sim_matrix(
-    query_tokens: np.ndarray,
-    token_sets: Sequence[np.ndarray],
-    max_chunk_elements: int = 8_000_000,
-) -> np.ndarray:
+def _max_sim_matrix(query_tokens: np.ndarray, token_sets: Sequence[np.ndarray]) -> np.ndarray:
     """Matrix M with M[i, j] = max over set j's tokens of (query token i . token).
 
     Candidate token sets are processed in groups so the intermediate
-    similarity block stays below ``max_chunk_elements`` floats.
+    similarity block stays below ``_MAX_CHUNK_ELEMENTS`` floats.
     """
     n_q = query_tokens.shape[0]
     out = np.empty((n_q, len(token_sets)))
-    budget = max(1024, max_chunk_elements // max(n_q, 1))
+    budget = max(1024, _MAX_CHUNK_ELEMENTS // max(n_q, 1))
     start = 0
     while start < len(token_sets):
         stop = start

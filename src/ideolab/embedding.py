@@ -31,6 +31,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .corpus import ContentItem
+from .llm import _post, _retry
 from .prompting import FieldConfig, render_fields_text
 
 logger = logging.getLogger(__name__)
@@ -47,7 +48,7 @@ class DimensionMismatchError(EmbeddingError):
 
 
 class ProviderUnreachableError(RuntimeError):
-    """Transient provider failure; safe to retry."""
+    """The embedding service failed a request, after any retries."""
 
 
 def l2_normalize(vectors: np.ndarray) -> np.ndarray:
@@ -221,22 +222,13 @@ class HttpProvider:
     def fetch(self, item_id: str, fields_hash: str, text: str):
         import requests
 
-        last_error: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
-            try:
-                resp = requests.post(self.url, json={"text": text}, timeout=self.timeout)
-                if resp.status_code >= 500:
-                    raise ProviderUnreachableError(f"HTTP {resp.status_code} from {self.url}")
-                break
-            except (requests.RequestException, ProviderUnreachableError) as exc:
-                last_error = exc
-                if attempt >= self.retries:
-                    raise ProviderUnreachableError(str(exc)) from exc
-                time.sleep(min(2.0**attempt, 10.0))
-        else:  # pragma: no cover
-            raise ProviderUnreachableError(str(last_error))
-        # a 4xx or an undecodable body is not retried: the same request fails again
-        resp.raise_for_status()
+        def post():
+            return _post(requests.post, self.url, json={"text": text}, timeout=self.timeout)
+
+        resp, _, error = _retry(post, self.retries, time.sleep)
+        if error is not None:
+            raise ProviderUnreachableError(f"{self.url}: {error}") from error
+        # an undecodable body is not retried: the same request fails again
         body = resp.json()
         if int(body["dim"]) != self.dim:
             raise DimensionMismatchError(
@@ -334,19 +326,13 @@ def embed_many(
 
     Results are keyed, so the mapping is independent of completion order.
     """
-    items = list(items)
-    out: dict[str, TokenEmbeddingSet] = {}
-    if not items:
-        return out
-    if max_workers <= 1 or len(items) == 1:
-        for item in items:
-            out[item.id] = embed_item(item, fields, provider, cache)
-        return out
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         futures = {pool.submit(embed_item, item, fields, provider, cache): item.id for item in items}
-        for future, item_id in futures.items():
-            out[item_id] = future.result()
-    return out
+        try:
+            return {item_id: future.result() for future, item_id in futures.items()}
+        finally:
+            # after a failure, drop the items still queued instead of running them all
+            pool.shutdown(cancel_futures=True)
 
 
 def load_provider(spec: str, dim: int):

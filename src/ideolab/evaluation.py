@@ -163,10 +163,6 @@ class McNemarResult:
     b: int  # correct under A only
     c: int  # correct under B only
 
-    def __iter__(self):
-        yield self.statistic
-        yield self.p
-
     @property
     def stars(self) -> str:
         return significance_stars(self.p)

@@ -9,6 +9,7 @@ of request completion order.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import random
 import re
@@ -32,6 +33,8 @@ PARSE_TRANSPORT_ERROR = "transport_error"
 
 # llm callables take (messages, query_id) and return the response text
 LLMCallable = Callable[[list[dict], Optional[str]], str]
+
+_BACKOFF_BASE_S = 1.0
 
 
 class TransportError(RuntimeError):
@@ -58,13 +61,14 @@ class LLMConfig:
     timeout: float = 30.0
     char_budget: int = 120_000
     chat_turns: bool = False
-    backoff_base: float = 1.0
 
     def __post_init__(self) -> None:
         if self.temperature < 0:
             raise ValueError("temperature must be nonnegative")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be nonnegative")
 
     def resolved_base_url(self) -> str:
         return self.base_url or os.environ.get("LLM_BASE_URL", "https://api.openai.com")
@@ -197,6 +201,55 @@ def mock_from_spec(spec: str) -> LLMCallable:
     return mock_llm(spec)
 
 
+def _post(send: Callable, url: str, **kwargs):
+    """POST once; return the response or raise a :class:`TransportError`.
+
+    A transport failure or a 5xx is retryable, a 429 is retryable after
+    its ``Retry-After``; a malformed URL or any other 4xx is not, because
+    the same request fails again.
+    """
+    import requests
+
+    try:
+        resp = send(url, **kwargs)
+    except requests.RequestException as exc:
+        # requests raises its malformed-URL errors as ValueError subclasses
+        raise TransportError(f"request failed: {exc}", retryable=not isinstance(exc, ValueError)) from exc
+    if resp.status_code == 429:
+        try:
+            retry_after = float(resp.headers.get("Retry-After"))
+        except (TypeError, ValueError):
+            retry_after = None
+        raise TransportError("rate limited (HTTP 429)", retry_after=retry_after)
+    if resp.status_code >= 500:
+        raise TransportError(f"server error (HTTP {resp.status_code})")
+    if resp.status_code >= 400:
+        raise TransportError(f"request rejected (HTTP {resp.status_code})", retryable=False)
+    return resp
+
+
+def _retry(call: Callable, max_retries: int, sleep: Callable[[float], None], attempts: int = 0):
+    """Run ``call`` until it returns, retrying retryable transport errors.
+
+    Waits the server's ``Retry-After`` when it is finite and nonnegative,
+    else an exponential backoff (base 1s, doubled, jittered). Returns
+    ``(result, attempts, error)``; ``error`` is the last
+    :class:`TransportError` when no attempt succeeded, else None.
+    """
+    for attempt in range(max_retries + 1):
+        attempts += 1
+        try:
+            return call(), attempts, None
+        except TransportError as exc:
+            if not exc.retryable or attempt >= max_retries:
+                return None, attempts, exc
+            delay = exc.retry_after
+            if delay is None or not 0.0 <= delay < math.inf:
+                delay = _BACKOFF_BASE_S * (2.0**attempt) * (1.0 + 0.25 * random.random())
+            logger.debug("transport error (%s), retrying in %.1fs", exc, delay)
+            sleep(delay)
+
+
 class ChatCompletionsClient:
     """OpenAI-compatible chat-completions client (single attempt per call;
     the retry policy lives in :func:`classify`)."""
@@ -215,8 +268,6 @@ class ChatCompletionsClient:
             return self._request_count
 
     def __call__(self, messages: list[dict], query_id: Optional[str] = None) -> str:
-        import requests
-
         with self._lock:
             self._request_count += 1
         url = self.cfg.resolved_base_url().rstrip("/") + "/v1/chat/completions"
@@ -229,23 +280,7 @@ class ChatCompletionsClient:
             "messages": messages,
             "temperature": self.cfg.temperature,
         }
-        try:
-            resp = self._session.post(url, json=payload, headers=headers, timeout=self.cfg.timeout)
-        except requests.RequestException as exc:
-            raise TransportError(f"request failed: {exc}") from exc
-        if resp.status_code == 429:
-            retry_after = None
-            header = resp.headers.get("Retry-After")
-            if header is not None:
-                try:
-                    retry_after = float(header)
-                except ValueError:
-                    retry_after = None
-            raise TransportError("rate limited (HTTP 429)", retry_after=retry_after)
-        if resp.status_code >= 500:
-            raise TransportError(f"server error (HTTP {resp.status_code})")
-        if resp.status_code >= 400:
-            raise TransportError(f"request rejected (HTTP {resp.status_code})", retryable=False)
+        resp = _post(self._session.post, url, json=payload, headers=headers, timeout=self.cfg.timeout)
         try:
             return resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -306,10 +341,10 @@ def classify(
 ) -> PredictionRecord:
     """Send one prompt and parse the label out of the response.
 
-    Transport errors retry with exponential backoff (base 1s, doubled,
-    jittered), honoring a server-provided wait on rate limits. An
-    ambiguous parse triggers exactly one clarification reprompt. Nothing
-    raises; the terminal state lands in ``parse_status``.
+    Retryable transport errors are retried up to ``cfg.max_retries``
+    times, waiting as :func:`_retry` describes. An ambiguous parse
+    triggers exactly one clarification reprompt. Nothing raises; the
+    terminal state lands in ``parse_status``.
     """
 
     def record(pred, raw, status, attempts):
@@ -329,23 +364,7 @@ def classify(
         return record(None, f"[error] {exc}", PARSE_TRANSPORT_ERROR, 0)
     messages = fitted.as_messages(cfg.chat_turns)
 
-    def call_with_retries(msgs, attempts_so_far):
-        attempts = attempts_so_far
-        for attempt in range(cfg.max_retries + 1):
-            attempts += 1
-            try:
-                return llm(msgs, query_id), attempts, None
-            except TransportError as exc:
-                if not exc.retryable or attempt >= cfg.max_retries:
-                    return None, attempts, exc
-                delay = exc.retry_after
-                if delay is None:
-                    delay = cfg.backoff_base * (2.0**attempt) * (1.0 + 0.25 * random.random())
-                logger.debug("query %s: transport error, retrying in %.1fs", query_id, delay)
-                sleep(delay)
-        return None, attempts, TransportError("retries exhausted")  # pragma: no cover
-
-    text, attempts, error = call_with_retries(messages, 0)
+    text, attempts, error = _retry(lambda: llm(messages, query_id), cfg.max_retries, sleep)
     if error is not None:
         return record(None, f"[error] {error}", PARSE_TRANSPORT_ERROR, attempts)
 
@@ -353,7 +372,7 @@ def classify(
     if status == PARSE_AMBIGUOUS:
         clarified = [dict(m) for m in messages]
         clarified[-1]["content"] += "\n\n" + CLARIFICATION
-        text2, attempts, error = call_with_retries(clarified, attempts)
+        text2, attempts, error = _retry(lambda: llm(clarified, query_id), cfg.max_retries, sleep, attempts)
         if error is None:
             pred2, status2 = parse_label(text2, cot=prompt.cot)
             if status2 == PARSE_OK:
@@ -374,23 +393,13 @@ def classify_batch(
     Output is sorted by query id, so results do not depend on completion
     order.
     """
-    tasks = list(tasks)
-    records: list[PredictionRecord] = []
-    if not tasks:
-        return records
-    if cfg.max_in_flight == 1 or len(tasks) == 1:
-        for query_id, gold, prompt in tasks:
-            records.append(
-                classify(prompt, cfg, llm, query_id=query_id, gold=gold, config_hash=config_hash, sleep=sleep)
+    with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
+        futures = [
+            pool.submit(
+                classify, prompt, cfg, llm, query_id=query_id, gold=gold, config_hash=config_hash, sleep=sleep
             )
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            futures = [
-                pool.submit(
-                    classify, prompt, cfg, llm, query_id=query_id, gold=gold, config_hash=config_hash, sleep=sleep
-                )
-                for query_id, gold, prompt in tasks
-            ]
-            records = [f.result() for f in futures]
+            for query_id, gold, prompt in tasks
+        ]
+        records = [f.result() for f in futures]
     records.sort(key=lambda r: r.query_id)
     return records

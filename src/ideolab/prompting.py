@@ -88,37 +88,36 @@ def instruction_for(config: FieldConfig, cot: bool = False) -> str:
     return " ".join(sentences)
 
 
+def _field_values(item: ContentItem, config: FieldConfig) -> list[tuple[str, str]]:
+    """(name, value) of each configured, non-empty field, in the fixed
+    order Title/Source/Description."""
+    fields = (
+        ("Title", config.include_title, item.title),
+        ("Source", config.include_source, item.source),
+        ("Description", config.include_description, item.description),
+    )
+    return [(name, value) for name, included, value in fields if included and value]
+
+
 def render_fields_text(item: ContentItem, config: FieldConfig) -> str:
     """Plain text of the configured field values, for embedding.
 
     Uses the raw values joined by newlines (no "Title:" labels); the
     fields embedded always match the fields prompted.
     """
-    parts = []
-    if config.include_title and item.title:
-        parts.append(item.title)
-    if config.include_source and item.source:
-        parts.append(item.source)
-    if config.include_description and item.description:
-        parts.append(item.description)
-    if not parts:
+    values = [value for _, value in _field_values(item, config)]
+    if not values:
         raise PromptError(f"item {item.id!r} has none of the configured fields")
-    return "\n".join(parts)
+    return "\n".join(values)
 
 
 def render_block(item: ContentItem, config: FieldConfig, with_label: bool) -> str:
     """One demonstration or query block.
 
-    Fields render in the fixed order Title/Source/Description; a missing
-    field omits its line entirely rather than rendering a blank value.
+    Fields render in the order of :func:`_field_values`; a missing field
+    omits its line entirely rather than rendering a blank value.
     """
-    lines = []
-    if config.include_title and item.title:
-        lines.append(f"Title: {item.title}")
-    if config.include_source and item.source:
-        lines.append(f"Source: {item.source}")
-    if config.include_description and item.description:
-        lines.append(f"Description: {item.description}")
+    lines = [f"{name}: {value}" for name, value in _field_values(item, config)]
     if with_label:
         if item.label is None:
             raise PromptError(f"demonstration item {item.id!r} has no gold label")

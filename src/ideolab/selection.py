@@ -64,11 +64,6 @@ class DemonstrationSet:
         }
 
 
-def class_quota(k: int) -> int:
-    """Smallest per-class cap admitting k across three classes: ceil(k/3)."""
-    return -(-k // 3)
-
-
 def balanced_select(
     ordering: QueryOrdering,
     labels: Mapping[str, Ideology],

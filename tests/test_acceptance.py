@@ -260,8 +260,8 @@ def test_criterion_06_mcnemar_units():
     assert result.statistic == pytest.approx(1 / 14)
     assert result.p > 0.5
 
-    statistic, p = mcnemar(*from_counts(0, 0))
-    assert (statistic, p) == (0.0, 1.0)
+    result = mcnemar(*from_counts(0, 0))
+    assert (result.statistic, result.p) == (0.0, 1.0)
 
     rng = np.random.default_rng(606)
     for _ in range(100):

@@ -1,9 +1,12 @@
+import argparse
+import dataclasses
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from ideolab.cli import derive_seed, main
+from ideolab.cli import _build_parser, derive_seed, main
 from ideolab.config import RunConfig
 from ideolab.corpus import write_dataset
 from ideolab.synthetic import synthetic_corpus
@@ -272,6 +275,17 @@ class TestErrors:
         assert code == 1
         assert "mixed" in capsys.readouterr().err
 
+    def test_embedding_service_down_is_a_clean_exit(self, corpus_files, tmp_path, capsys, monkeypatch):
+        train_path, _ = corpus_files
+        monkeypatch.setattr(time, "sleep", lambda _: None)
+        flags = base_flags(tmp_path / "down")
+        flags[flags.index("hashed")] = "http://127.0.0.1:9"
+        code = main(["pool", "--train-dataset", str(train_path)] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ProviderUnreachableError: ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"dataset": "x.jsonl", "shots": 4}), encoding="utf-8")
@@ -314,6 +328,14 @@ class TestConfig:
         assert main(["classify", "--config", str(cfg_path), "--k", "2"]) == 0
         effective = json.loads((tmp_path / "cfgrun" / "effective_config.json").read_text(encoding="utf-8"))
         assert effective["k"] == 2  # flag overrides file
+
+    def test_every_common_flag_names_a_config_field(self):
+        # flags reach RunConfig only through a matching field name
+        subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        ingest = subparsers.choices["ingest"]  # carries the common flags and nothing else
+        dests = {a.dest for a in ingest._actions if a.option_strings} - {"help", "config"}
+        assert dests
+        assert dests <= {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_derive_seed_stable(self):
         assert derive_seed(3, "q1") == derive_seed(3, "q1")

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -91,6 +92,22 @@ class TestEmbedItem:
         items = [item(f"i{n}", f"title {n} words") for n in range(9)]
         out = embed_many(items, TITLE, HashedProvider(dim=8), max_workers=4)
         assert set(out) == {it.id for it in items}
+
+    def test_embed_many_drops_queued_items_after_a_failure(self):
+        calls = []
+
+        class Down:
+            dim = 8
+
+            def fetch(self, item_id, fields_hash, text):
+                calls.append(item_id)
+                time.sleep(0.02)
+                raise ProviderUnreachableError("service down")
+
+        items = [item(f"i{n}") for n in range(20)]
+        with pytest.raises(ProviderUnreachableError):
+            embed_many(items, TITLE, Down(), max_workers=2)
+        assert len(calls) < len(items)
 
 
 class TestFieldsHash:
@@ -196,11 +213,20 @@ class TestHttpProvider:
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
         requests_seen = []
+        failures = []  # (status, headers) answered, in order, before the first 200
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 body = json_module.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 requests_seen.append(body)
+                if failures:
+                    status, headers = failures.pop(0)
+                    self.send_response(status)
+                    for name, value in headers.items():
+                        self.send_header(name, value)
+                    self.send_header("Content-Length", "0")
+                    self.end_headers()
+                    return
                 ts = TokenEmbeddingSet.from_raw("x", np.eye(4)[:2], np.eye(4)[0])
                 payload = json_module.dumps(
                     {"dim": 4, "tokens": ts.token_vectors.tolist(), "sentence": ts.sentence_vector.tolist()}
@@ -215,18 +241,18 @@ class TestHttpProvider:
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         threading.Thread(target=server.serve_forever, daemon=True).start()
-        yield f"http://127.0.0.1:{server.server_address[1]}/embed", requests_seen
+        yield f"http://127.0.0.1:{server.server_address[1]}/embed", requests_seen, failures
         server.shutdown()
 
     def test_wire_format(self, embed_endpoint):
-        url, seen = embed_endpoint
+        url, seen, _ = embed_endpoint
         provider = HttpProvider(url, dim=4)
         ts = embed_item(item(), TITLE, provider)
         assert ts.dim == 4
         assert seen[0] == {"text": "budget vote delayed again"}
 
     def test_dim_mismatch_from_service(self, embed_endpoint):
-        url, _ = embed_endpoint
+        url, _, _ = embed_endpoint
         provider = HttpProvider(url, dim=8)
         with pytest.raises(DimensionMismatchError):
             embed_item(item(), TITLE, provider)
@@ -234,7 +260,7 @@ class TestHttpProvider:
     def test_broken_body_is_retried(self, embed_endpoint, monkeypatch):
         import requests
 
-        url, _ = embed_endpoint
+        url, _, _ = embed_endpoint
         real_post = requests.post
         calls = []
 
@@ -249,6 +275,34 @@ class TestHttpProvider:
         tokens, _ = HttpProvider(url, dim=4, retries=1).fetch("a", "fh", "text")
         assert tokens.shape == (2, 4)
         assert len(calls) == 2
+
+    def test_rate_limit_honours_retry_after(self, embed_endpoint, monkeypatch):
+        url, seen, failures = embed_endpoint
+        failures.append((429, {"Retry-After": "0"}))
+        sleeps = []
+        monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
+        tokens, _ = HttpProvider(url, dim=4).fetch("a", "fh", "text")
+        assert tokens.shape == (2, 4)
+        assert len(seen) == 2
+        assert sleeps == [0.0]
+
+    def test_client_error_is_not_retried(self, embed_endpoint, monkeypatch):
+        url, seen, failures = embed_endpoint
+        failures.append((404, {}))
+        sleeps = []
+        monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
+        with pytest.raises(ProviderUnreachableError, match="HTTP 404"):
+            HttpProvider(url, dim=4).fetch("a", "fh", "text")
+        assert len(seen) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("url", ["127.0.0.1:9/embed", "http://", "ftp://127.0.0.1:9/embed"])
+    def test_malformed_url_fails_at_once(self, url, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
+        with pytest.raises(ProviderUnreachableError, match="request failed"):
+            HttpProvider(url, dim=4).fetch("a", "fh", "text")
+        assert sleeps == []
 
     def test_unreachable_raises_after_retries(self):
         provider = HttpProvider("http://127.0.0.1:9", dim=4, timeout=0.2, retries=1)

@@ -187,8 +187,8 @@ class TestMcNemar:
 
     def test_identical_records(self):
         rec_a, rec_b = self.from_counts(0, 0)
-        statistic, p = mcnemar(rec_a, rec_b)
-        assert (statistic, p) == (0.0, 1.0)
+        result = mcnemar(rec_a, rec_b)
+        assert (result.statistic, result.p) == (0.0, 1.0)
 
     def test_one_flip_continuity_floor(self):
         result = mcnemar(*self.from_counts(0, 1))

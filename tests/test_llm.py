@@ -159,7 +159,7 @@ class TestClassify:
 
         record = classify(
             prompt_with_demos([]),
-            LLMConfig(max_retries=3, backoff_base=0.5),
+            LLMConfig(max_retries=3),
             flaky,
             query_id="q",
             sleep=sleeps.append,
@@ -269,9 +269,9 @@ class _FakeEndpoint(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).requests_seen.append({"path": self.path, "body": body, "auth": self.headers.get("Authorization")})
         action = type(self).behavior.pop(0) if len(type(self).behavior) > 1 else type(self).behavior[0]
-        if action == "429":
+        if action.startswith("429"):  # "429" or "429:<Retry-After value>"
             self.send_response(429)
-            self.send_header("Retry-After", "0")
+            self.send_header("Retry-After", action.partition(":")[2] or "0")
             self.end_headers()
             return
         if action == "500":
@@ -326,10 +326,31 @@ class TestHttpClient:
 
     def test_server_error_then_success(self, fake_endpoint):
         _FakeEndpoint.behavior = ["500", "ok"]
-        cfg = LLMConfig(base_url=fake_endpoint, backoff_base=0.0)
+        cfg = LLMConfig(base_url=fake_endpoint)
         client = ChatCompletionsClient(cfg)
         record = classify(prompt_with_demos([]), cfg, client, query_id="q", sleep=lambda _: None)
         assert record.parse_status == "ok"
+
+    @pytest.mark.parametrize("retry_after", ["-1", "nan", "1e999"])
+    def test_unusable_retry_after_falls_back_to_backoff(self, fake_endpoint, retry_after):
+        _FakeEndpoint.behavior = [f"429:{retry_after}", "ok"]
+        cfg = LLMConfig(base_url=fake_endpoint, max_in_flight=2)
+        tasks = [(f"q{i}", L, prompt_with_demos([])) for i in range(3)]
+        sleeps = []
+        records = classify_batch(tasks, cfg, ChatCompletionsClient(cfg), sleep=sleeps.append)
+        assert [r.parse_status for r in records] == ["ok"] * 3
+        assert sum(r.attempts for r in records) == 4
+        assert len(sleeps) == 1
+        assert 1.0 <= sleeps[0] <= 1.25  # first backoff step, base 1s plus up to 25% jitter
+
+    @pytest.mark.parametrize("base_url", ["127.0.0.1:9", "http://", "ftp://127.0.0.1:9"])
+    def test_malformed_url_fails_at_once(self, base_url):
+        cfg = LLMConfig(base_url=base_url)
+        sleeps = []
+        record = classify(prompt_with_demos([]), cfg, ChatCompletionsClient(cfg), query_id="q", sleep=sleeps.append)
+        assert record.parse_status == "transport_error"
+        assert record.attempts == 1
+        assert sleeps == []
 
     def test_broken_body_is_a_transport_error_not_a_lost_batch(self):
         import requests
@@ -374,3 +395,5 @@ class TestPredictionRecordSerialization:
             LLMConfig(temperature=-0.5)
         with pytest.raises(ValueError):
             LLMConfig(max_in_flight=0)
+        with pytest.raises(ValueError):
+            LLMConfig(max_retries=-1)

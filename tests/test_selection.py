@@ -7,7 +7,6 @@ from ideolab.coverage import CandidatePool, PoolEntry, QueryOrdering, RankedEntr
 from ideolab.selection import (
     SelectionError,
     balanced_select,
-    class_quota,
     random_select,
 )
 
@@ -32,11 +31,6 @@ def make_pool(labels):
         entries=[PoolEntry(f"e{i}", lab, 0.0) for i, lab in enumerate(labels)],
         build_config={},
     )
-
-
-class TestQuota:
-    def test_ceil_of_thirds(self):
-        assert [class_quota(k) for k in (0, 1, 2, 3, 4, 8, 12)] == [0, 1, 1, 1, 2, 3, 4]
 
 
 class TestBalancedSelect:
