@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import Optional
 
 from .config import RunConfig
-from .corpus import ContentItem, LabelMapping, load_dataset, write_dataset
+from .corpus import LabelMapping, load_dataset, write_dataset
 from .coverage import CandidatePool, build_candidate_pool, order_for_query
-from .embedding import EmbeddingCache, ProviderUnreachableError, embed_item, embed_many, load_provider
+from .embedding import EmbeddingCache, ProviderUnreachableError, embed_many, load_provider
 from .evaluation import mcnemar, score
 from .llm import ChatCompletionsClient, LLMConfig, PredictionRecord, classify_batch, mock_from_spec
 from .prompting import FIELD_GRID, FieldConfig, render
@@ -51,13 +51,18 @@ def _write_jsonl(path: Path, header: Optional[dict], rows) -> None:
 
 def _read_predictions(path) -> tuple[dict, list[PredictionRecord]]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise CliError(f"{path}: empty predictions file")
-    header = json.loads(lines[0])
+    header = json.loads(lines[0][1])
     if header.get("kind") != "predictions":
         raise CliError(f"{path}: missing predictions header line")
-    records = [PredictionRecord.from_json_dict(json.loads(line)) for line in lines[1:]]
+    records = []
+    for lineno, line in lines[1:]:
+        try:
+            records.append(PredictionRecord.from_json_dict(json.loads(line)))
+        except KeyError as exc:
+            raise CliError(f"{path}: line {lineno}: prediction row lacks field {exc}") from None
     hashes = {r.config_hash for r in records} | {header.get("config_hash")}
     if len(hashes) != 1:
         raise CliError(f"{path}: mixed config hashes in predictions: {sorted(map(str, hashes))}")
@@ -147,55 +152,74 @@ def _resolve_pool_path(cfg: RunConfig, out: Path) -> Path:
     return Path(cfg.pool_file) if cfg.pool_file else out / "pool.jsonl"
 
 
-def run_classify(cfg: RunConfig, dump_prompts: bool = False) -> Path:
-    """select -> prompt -> LLM (or mock) -> predictions; returns the
-    predictions path."""
+def _load(cfg: RunConfig, ks: list[int]):
+    """Read the queries and, when some k > 0, the training items by id and
+    the pool, checked against each other; returns (queries, train, pool)."""
     _require(cfg, dataset="--dataset")
-    out = _out_dir(cfg)
-    config_hash = cfg.config_hash
     scheme = LabelMapping.for_scheme(cfg.label_scheme)
-    test_items = load_dataset(cfg.dataset, scheme)
-    fields = FieldConfig.from_key(cfg.fields)
+    queries = load_dataset(cfg.dataset, scheme)
     if cfg.order not in ORDER_MODES:
         raise CliError(f"--order must be one of {sorted(ORDER_MODES)}, got {cfg.order!r}")
+    if min(ks) < 0:
+        raise CliError(f"--k must be nonnegative, got {min(ks)}")
+    if max(ks) == 0:
+        return queries, {}, None
+    if cfg.select not in ("balanced", "random"):
+        raise CliError(f"--select must be balanced or random, got {cfg.select!r}")
+    _require(cfg, train_dataset="--train-dataset")
+    train = {item.id: item for item in load_dataset(cfg.train_dataset, scheme)}
+    pool_path = _resolve_pool_path(cfg, Path(cfg.out))
+    if not pool_path.exists():
+        raise CliError(f"pool file not found: {pool_path} (run the pool subcommand first)")
+    pool = CandidatePool.load(pool_path)
+    missing = [i for i in pool.ids() if i not in train]
+    if missing:
+        raise CliError(f"pool references ids missing from the training set, e.g. {missing[:3]}")
+    return queries, train, pool
 
-    demo_items: dict[str, ContentItem] = {}
-    pool = None
-    pool_embeddings = {}
-    provider = None
-    cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
-    if cfg.k > 0:
-        _require(cfg, train_dataset="--train-dataset")
-        train = load_dataset(cfg.train_dataset, scheme)
-        demo_items = {item.id: item for item in train}
-        pool_path = _resolve_pool_path(cfg, out)
-        if not pool_path.exists():
-            raise CliError(f"pool file not found: {pool_path} (run the pool subcommand first)")
-        pool = CandidatePool.load(pool_path)
-        missing = [i for i in pool.ids() if i not in demo_items]
-        if missing:
-            raise CliError(f"pool references ids missing from the training set, e.g. {missing[:3]}")
+
+def _select(cfg: RunConfig, queries, train, pool, fields: FieldConfig, ks: list[int]):
+    """Each query's demonstrations for every k in ``ks``: k -> one
+    DemonstrationSet per query, in query order.
+
+    Orderings do not depend on k, so each query is ordered once and every
+    k selects from that ordering before the next query is ordered.
+    """
+    ordered = cfg.select == "balanced" and max(ks) > 0
+    if ordered:
         provider = load_provider(cfg.embed_provider, cfg.embed_dim)
-        pool_members = [demo_items[i] for i in pool.ids()]
-        pool_embeddings = embed_many(pool_members, fields, provider, cache)
+        cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
+        pool_embeddings = embed_many([train[i] for i in pool.ids()], fields, provider, cache)
+        query_embeddings = embed_many(queries, fields, provider, cache)
+        labels = pool.labels()
+    demos: dict[int, list[DemonstrationSet]] = {k: [] for k in ks}
+    for item in queries:
+        if ordered:
+            ordering = order_for_query(
+                query_embeddings[item.id], pool, pool_embeddings, mode=ORDER_MODES[cfg.order]
+            )
+        for k in ks:
+            if k == 0:
+                chosen = DemonstrationSet(query_id=item.id, members=[], k_requested=0)
+            elif cfg.select == "random":
+                chosen = random_select(pool, k, derive_seed(cfg.seed, item.id), query_id=item.id)
+            else:
+                chosen = balanced_select(ordering, labels, k)
+            demos[k].append(chosen)
+    return demos
 
-    tasks = []
-    traces = []
-    labels = pool.labels() if pool is not None else {}
-    for item in test_items:
-        if cfg.k == 0:
-            demos = DemonstrationSet(query_id=item.id, members=[], k_requested=0)
-        elif cfg.select == "random":
-            demos = random_select(pool, cfg.k, derive_seed(cfg.seed, item.id), query_id=item.id)
-        elif cfg.select == "balanced":
-            query_emb = embed_item(item, fields, provider, cache)
-            ordering = order_for_query(query_emb, pool, pool_embeddings, mode=ORDER_MODES[cfg.order])
-            demos = balanced_select(ordering, labels, cfg.k)
-        else:
-            raise CliError(f"--select must be balanced or random, got {cfg.select!r}")
-        prompt = render(item, demos, demo_items, fields, cot=cfg.cot)
-        tasks.append((item.id, item.label, prompt))
-        traces.append(demos.to_trace())
+
+def run_classify(cfg: RunConfig, queries, train, demos, dump_prompts: bool = False) -> Path:
+    """One cell: prompt -> LLM (or mock) -> predictions, given the queries,
+    the training items by id and one DemonstrationSet per query; returns
+    the predictions path."""
+    out = _out_dir(cfg)
+    config_hash = cfg.config_hash
+    fields = FieldConfig.from_key(cfg.fields)
+    tasks = [
+        (item.id, item.label, render(item, chosen, train, fields, cot=cfg.cot))
+        for item, chosen in zip(queries, demos)
+    ]
 
     llm_cfg = _llm_config(cfg)
     llm = mock_from_spec(cfg.mock) if cfg.mock else ChatCompletionsClient(llm_cfg)
@@ -205,7 +229,7 @@ def run_classify(cfg: RunConfig, dump_prompts: bool = False) -> Path:
     predictions_path = out / "predictions.jsonl"
     _write_jsonl(predictions_path, header, (r.to_json_dict() for r in records))
 
-    traces.sort(key=lambda t: t["query_id"])
+    traces = sorted((chosen.to_trace() for chosen in demos), key=lambda t: t["query_id"])
     trace_header = {"kind": "selection_trace", "config_hash": config_hash}
     _write_jsonl(out / "selection_trace.jsonl", trace_header, traces)
 
@@ -220,9 +244,23 @@ def run_classify(cfg: RunConfig, dump_prompts: bool = False) -> Path:
     return predictions_path
 
 
+def _classify_cells(cfg: RunConfig, cells: list[RunConfig], dump_prompts: bool):
+    """Yield (cell, predictions path) for cells that differ from ``cfg``
+    only in k, fields and where they write: one load, one selection pass
+    per field configuration, then the per-cell step."""
+    queries, train, pool = _load(cfg, [cell.k for cell in cells])
+    demos = {}
+    for fields in dict.fromkeys(cell.fields for cell in cells):
+        ks = [cell.k for cell in cells if cell.fields == fields]
+        for k, chosen in _select(cfg, queries, train, pool, FieldConfig.from_key(fields), ks).items():
+            demos[k, fields] = chosen
+    for cell in cells:
+        yield cell, run_classify(cell, queries, train, demos.pop((cell.k, cell.fields)), dump_prompts)
+
+
 def cmd_classify(cfg: RunConfig, dump_prompts: bool = False) -> int:
-    path = run_classify(cfg, dump_prompts=dump_prompts)
-    print(f"wrote predictions -> {path}")
+    for _, path in _classify_cells(cfg, [cfg], dump_prompts):
+        print(f"wrote predictions -> {path}")
     return 0
 
 
@@ -276,25 +314,27 @@ def cmd_ablate(cfg: RunConfig, dump_prompts: bool = False) -> int:
     """Sweep the k grid against the four field configurations."""
     base_out = _out_dir(cfg)
     pool_file = str(_resolve_pool_path(cfg, base_out))
+    grid = [
+        dataclasses.replace(
+            cfg, k=k, fields=fields, pool_file=pool_file, out=str(base_out / f"k{k}_{fields}")
+        )
+        for k in K_GRID
+        for fields in FIELD_GRID
+    ]
     cells = []
-    for k in K_GRID:
-        for fields in FIELD_GRID:
-            cell_cfg = dataclasses.replace(
-                cfg, k=k, fields=fields, pool_file=pool_file, out=str(base_out / f"k{k}_{fields}")
-            )
-            predictions_path = run_classify(cell_cfg, dump_prompts=dump_prompts)
-            report_path = run_eval(cell_cfg, predictions_path)
-            report = json.loads(report_path.read_text(encoding="utf-8"))
-            cells.append(
-                {
-                    "k": k,
-                    "fields": fields,
-                    "config_hash": report["config_hash"],
-                    "accuracy": report["accuracy"],
-                    "report": str(report_path),
-                }
-            )
-            print(f"k={k:<3} fields={fields:<18} accuracy={report['accuracy']:.4f}")
+    for cell_cfg, predictions_path in _classify_cells(cfg, grid, dump_prompts):
+        report_path = run_eval(cell_cfg, predictions_path)
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        cells.append(
+            {
+                "k": cell_cfg.k,
+                "fields": cell_cfg.fields,
+                "config_hash": report["config_hash"],
+                "accuracy": report["accuracy"],
+                "report": str(report_path),
+            }
+        )
+        print(f"k={cell_cfg.k:<3} fields={cell_cfg.fields:<18} accuracy={report['accuracy']:.4f}")
     summary = {"config_hash": cfg.config_hash, "cells": cells}
     (base_out / "ablation_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"

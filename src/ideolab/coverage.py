@@ -142,19 +142,22 @@ class CandidatePool:
     @classmethod
     def load(cls, path) -> "CandidatePool":
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
+            lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
         if not lines:
             raise CoverageError(f"{path}: empty pool file")
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
         if "build_config" not in header:
             raise CoverageError(f"{path}: first line must be a build_config header")
-        rows = [json.loads(line) for line in lines[1:]]
-        rows.sort(key=lambda r: r["rank"])
-        entries = [
-            PoolEntry(row["id"], Ideology.from_string(row["label"]), float(row["gain"]))
-            for row in rows
-        ]
-        return cls(entries=entries, build_config=header["build_config"])
+        ranked = []
+        for lineno, line in lines[1:]:
+            row = json.loads(line)
+            try:
+                entry = PoolEntry(row["id"], Ideology.from_string(row["label"]), float(row["gain"]))
+                ranked.append((row["rank"], entry))
+            except KeyError as exc:
+                raise CoverageError(f"{path}: line {lineno}: pool row lacks field {exc}") from None
+        ranked.sort(key=lambda pair: pair[0])
+        return cls(entries=[entry for _, entry in ranked], build_config=header["build_config"])
 
 
 def _resolve(

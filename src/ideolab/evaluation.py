@@ -98,10 +98,9 @@ def score(
             confusion[gold, (gold + 1) % 3] += 1
 
     accuracy = float(correct.mean())
-    rng = np.random.default_rng(seed)
-    accs = np.empty(bootstrap_resamples)
-    for b in range(bootstrap_resamples):
-        accs[b] = correct[rng.integers(0, n, size=n)].mean()
+    # one (resamples, n) draw consumes the stream exactly as one draw per resample would
+    resamples = np.random.default_rng(seed).integers(0, n, size=(bootstrap_resamples, n))
+    accs = correct[resamples].mean(axis=1)
     ci95 = (float(np.percentile(accs, 2.5)), float(np.percentile(accs, 97.5)))
 
     return EvalReport(

@@ -13,7 +13,6 @@ import math
 import os
 import random
 import re
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -259,17 +258,8 @@ class ChatCompletionsClient:
 
         self.cfg = cfg
         self._session = requests.Session()
-        self._request_count = 0
-        self._lock = threading.Lock()
-
-    @property
-    def request_count(self) -> int:
-        with self._lock:
-            return self._request_count
 
     def __call__(self, messages: list[dict], query_id: Optional[str] = None) -> str:
-        with self._lock:
-            self._request_count += 1
         url = self.cfg.resolved_base_url().rstrip("/") + "/v1/chat/completions"
         headers = {}
         key = self.cfg.resolved_api_key()

@@ -1,14 +1,19 @@
 import argparse
 import dataclasses
+import gc
 import json
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
+from ideolab import cli
 from ideolab.cli import _build_parser, derive_seed, main
 from ideolab.config import RunConfig
 from ideolab.corpus import write_dataset
+from ideolab.embedding import HashedProvider
+from ideolab.prompting import FIELD_GRID
 from ideolab.synthetic import synthetic_corpus
 
 
@@ -214,6 +219,65 @@ class TestAblate:
         assert len({c["config_hash"] for c in summary["cells"]}) == 16
 
 
+def ablate_flags(train_path, test_path, out):
+    flags = ["--dataset", str(test_path), "--train-dataset", str(train_path), "--mock", "echo_majority"]
+    return ["ablate"] + flags + base_flags(out)
+
+
+class TestOneLoadPerRun:
+    def test_ablate_loads_once_and_orders_once_per_field_configuration(self, corpus_files, tmp_path, monkeypatch):
+        train_path, test_path = corpus_files
+        out = tmp_path / "grid"
+        assert main(["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + base_flags(out)) == 0
+        calls = {"load": 0, "order": 0, "fetch": []}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        fetch = HashedProvider.fetch
+
+        def counted_fetch(self, *args):
+            calls["fetch"].append(args[0])  # list.append is atomic; embed_many fetches on threads
+            return fetch(self, *args)
+
+        monkeypatch.setattr(cli, "load_dataset", counted("load", cli.load_dataset))
+        monkeypatch.setattr(cli, "order_for_query", counted("order", cli.order_for_query))
+        monkeypatch.setattr(HashedProvider, "fetch", counted_fetch)
+        assert main(ablate_flags(train_path, test_path, out)) == 0
+        assert calls["load"] == 2
+        assert calls["order"] == len(FIELD_GRID) * 12
+        assert len(calls["fetch"]) == len(FIELD_GRID) * (24 + 12)
+
+    @pytest.mark.parametrize("command", ["classify", "ablate"])
+    def test_one_ordering_alive_at_a_time(self, corpus_files, tmp_path, monkeypatch, command):
+        train_path, test_path = corpus_files
+        out = tmp_path / command
+        assert main(["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + base_flags(out)) == 0
+        refs, alive = [], []
+        order_for_query = cli.order_for_query
+
+        def guarded(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            ordering = order_for_query(*args, **kwargs)
+            refs.append(weakref.ref(ordering))
+            return ordering
+
+        monkeypatch.setattr(cli, "order_for_query", guarded)
+        if command == "classify":
+            argv = ["classify", "--dataset", str(test_path), "--train-dataset", str(train_path), "--k", "4",
+                    "--mock", "echo_majority"] + base_flags(out)
+        else:
+            argv = ablate_flags(train_path, test_path, out)
+        assert main(argv) == 0
+        assert len(refs) == (12 if command == "classify" else len(FIELD_GRID) * 12)
+        assert max(alive) <= 1
+
+
 class TestErrors:
     def test_fatal_error_single_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -274,6 +338,48 @@ class TestErrors:
         code = main(["eval", "--predictions", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "mixed" in capsys.readouterr().err
+
+    def test_pool_row_without_gain_is_a_clean_exit(self, corpus_files, tmp_path, capsys):
+        train_path, test_path = corpus_files
+        out = tmp_path / "badpool"
+        assert main(["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + base_flags(out)) == 0
+        pool_path = out / "pool.jsonl"
+        lines = pool_path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        del row["gain"]
+        lines[2] = json.dumps(row)
+        pool_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            ["classify", "--dataset", str(test_path), "--train-dataset", str(train_path), "--k", "4",
+             "--mock", "echo_majority"] + base_flags(out)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CoverageError: ")
+        assert len(err.strip().splitlines()) == 1
+        assert str(pool_path) in err and "line 3" in err and "'gain'" in err
+
+    def test_negative_k_is_a_clean_exit(self, corpus_files, tmp_path, capsys):
+        _, test_path = corpus_files
+        code = main(["classify", "--dataset", str(test_path), "--k", "-1", "--mock", "fixed:neutral"]
+                    + base_flags(tmp_path / "neg"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: CliError: --k must be nonnegative")
+
+    def test_prediction_row_without_query_id_is_a_clean_exit(self, tmp_path, capsys):
+        path = tmp_path / "preds.jsonl"
+        rows = [
+            {"kind": "predictions", "config": {}, "config_hash": "aaa"},
+            {"gold": "liberal", "pred": "liberal", "parse_status": "ok", "attempts": 1, "config_hash": "aaa"},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        code = main(["eval", "--predictions", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CliError: ")
+        assert len(err.strip().splitlines()) == 1
+        assert str(path) in err and "line 2" in err and "'query_id'" in err
 
     def test_embedding_service_down_is_a_clean_exit(self, corpus_files, tmp_path, capsys, monkeypatch):
         train_path, _ = corpus_files

@@ -100,6 +100,16 @@ class TestScore:
         a = score(records, bootstrap_resamples=100, seed=7)
         b = score(records, bootstrap_resamples=100, seed=7)
         assert a.ci95 == b.ci95
+        # the single (resamples, n) draw equals one draw per resample, bit for bit
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5, 12, 200):
+            golds = [Ideology(int(g)) for g in rng.integers(0, 3, n)]
+            preds = [Ideology(int(p)) for p in rng.integers(0, 3, n)]
+            correct = np.array([g == p for g, p in zip(golds, preds)])
+            loop_rng = np.random.default_rng(7)
+            accs = [correct[loop_rng.integers(0, n, size=n)].mean() for _ in range(100)]
+            expected = (float(np.percentile(accs, 2.5)), float(np.percentile(accs, 97.5)))
+            assert score(records_from_pattern(golds, preds), bootstrap_resamples=100, seed=7).ci95 == expected
 
     def test_empty_records_rejected(self):
         with pytest.raises(EvaluationError):

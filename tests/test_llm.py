@@ -314,7 +314,7 @@ class TestHttpClient:
         assert seen["body"]["model"] == "test-model"
         assert seen["body"]["temperature"] == 0.0
         assert seen["body"]["messages"][0]["role"] == "user"
-        assert client.request_count == 1
+        assert len(_FakeEndpoint.requests_seen) == 1
 
     def test_rate_limit_then_success(self, fake_endpoint):
         _FakeEndpoint.behavior = ["429", "ok"]
