@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .config import RunConfig
-from .corpus import LabelMapping, load_dataset, write_dataset
+from .corpus import LabelMapping, _json_rows, load_dataset, write_dataset
 from .coverage import CandidatePool, build_candidate_pool, order_for_query
 from .embedding import EmbeddingCache, ProviderUnreachableError, embed_many, load_provider
 from .evaluation import mcnemar, score
@@ -50,19 +50,20 @@ def _write_jsonl(path: Path, header: Optional[dict], rows) -> None:
 
 
 def _read_predictions(path) -> tuple[dict, list[PredictionRecord]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
-    if not lines:
+    rows = _json_rows(path, CliError)
+    _, header = next(rows, (None, None))
+    if header is None:
         raise CliError(f"{path}: empty predictions file")
-    header = json.loads(lines[0][1])
     if header.get("kind") != "predictions":
         raise CliError(f"{path}: missing predictions header line")
     records = []
-    for lineno, line in lines[1:]:
+    for lineno, row in rows:
         try:
-            records.append(PredictionRecord.from_json_dict(json.loads(line)))
+            records.append(PredictionRecord.from_json_dict(row))
         except KeyError as exc:
             raise CliError(f"{path}: line {lineno}: prediction row lacks field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{path}: line {lineno}: bad prediction row ({exc})") from None
     hashes = {r.config_hash for r in records} | {header.get("config_hash")}
     if len(hashes) != 1:
         raise CliError(f"{path}: mixed config hashes in predictions: {sorted(map(str, hashes))}")

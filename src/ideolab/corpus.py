@@ -17,7 +17,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class DatasetError(ValueError):
@@ -143,9 +143,25 @@ def map_label(raw_score: float, mapping: LabelMapping) -> Ideology:
     return Ideology.NEUTRAL
 
 
+def _json_rows(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, object) for each nonblank line of a JSONL file.
+
+    A line that is not a JSON object raises ``error`` naming the file and line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise error(f"{path}: line {lineno}: expected a JSON object")
+            yield lineno, obj
+
+
 def _parse_item(obj: dict, lineno: int, schema: LabelMapping) -> ContentItem:
-    if not isinstance(obj, dict):
-        raise DatasetError(f"line {lineno}: expected a JSON object")
     item_id = obj.get("id")
     if not isinstance(item_id, str) or not item_id:
         raise DatasetError(f"line {lineno}: missing or empty id")
@@ -198,21 +214,14 @@ def load_dataset(path, schema: LabelMapping) -> list[ContentItem]:
     """
     items: list[ContentItem] = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: malformed JSON ({exc.msg})") from None
-            item = _parse_item(obj, lineno, schema)
-            if item.id in seen:
-                raise DatasetError(
-                    f"line {lineno}: duplicate id {item.id!r} (first seen at line {seen[item.id]})"
-                )
-            seen[item.id] = lineno
-            items.append(item)
+    for lineno, obj in _json_rows(path, DatasetError):
+        item = _parse_item(obj, lineno, schema)
+        if item.id in seen:
+            raise DatasetError(
+                f"line {lineno}: duplicate id {item.id!r} (first seen at line {seen[item.id]})"
+            )
+        seen[item.id] = lineno
+        items.append(item)
     return items
 
 

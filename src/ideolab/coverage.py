@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import ContentItem, Ideology
+from .corpus import ContentItem, Ideology, _json_rows
 from .embedding import TokenEmbeddingSet
 
 EMPTY_SET_COVERAGE = -1.0
@@ -70,13 +70,15 @@ def set_coverage(query: TokenEmbeddingSet, members: Sequence[TokenEmbeddingSet])
 
 
 def _max_sim_matrix(query_tokens: np.ndarray, token_sets: Sequence[np.ndarray]) -> np.ndarray:
-    """Matrix M with M[i, j] = max over set j's tokens of (query token i . token).
+    """Matrix M with M[j, i] = max over set j's tokens of (query token i . token).
 
-    Candidate token sets are processed in groups so the intermediate
-    similarity block stays below ``_MAX_CHUNK_ELEMENTS`` floats.
+    Row j belongs to candidate set j, so a caller that walks candidates
+    reads contiguous memory. Candidate token sets are processed in groups
+    so the intermediate similarity block stays below
+    ``_MAX_CHUNK_ELEMENTS`` floats.
     """
     n_q = query_tokens.shape[0]
-    out = np.empty((n_q, len(token_sets)))
+    out = np.empty((len(token_sets), n_q))
     budget = max(1024, _MAX_CHUNK_ELEMENTS // max(n_q, 1))
     start = 0
     while start < len(token_sets):
@@ -87,9 +89,11 @@ def _max_sim_matrix(query_tokens: np.ndarray, token_sets: Sequence[np.ndarray]) 
             stop += 1
         chunk = token_sets[start:stop]
         stacked = np.concatenate(chunk, axis=0)
+        # the product keeps the query-token-major orientation on purpose:
+        # BLAS rounds ``stacked @ query_tokens.T`` differently in the last bit
         sims = query_tokens @ stacked.T
         offsets = np.cumsum([0] + [len(t) for t in chunk[:-1]])
-        out[:, start:stop] = np.maximum.reduceat(sims, offsets, axis=1)
+        out[start:stop] = np.maximum.reduceat(sims, offsets, axis=1).T
         start = stop
     return out
 
@@ -141,21 +145,21 @@ class CandidatePool:
 
     @classmethod
     def load(cls, path) -> "CandidatePool":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
-        if not lines:
+        rows = _json_rows(path, CoverageError)
+        _, header = next(rows, (None, None))
+        if header is None:
             raise CoverageError(f"{path}: empty pool file")
-        header = json.loads(lines[0][1])
         if "build_config" not in header:
             raise CoverageError(f"{path}: first line must be a build_config header")
         ranked = []
-        for lineno, line in lines[1:]:
-            row = json.loads(line)
+        for lineno, row in rows:
             try:
                 entry = PoolEntry(row["id"], Ideology.from_string(row["label"]), float(row["gain"]))
-                ranked.append((row["rank"], entry))
+                ranked.append((int(row["rank"]), entry))
             except KeyError as exc:
                 raise CoverageError(f"{path}: line {lineno}: pool row lacks field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise CoverageError(f"{path}: line {lineno}: bad pool row ({exc})") from None
         ranked.sort(key=lambda pair: pair[0])
         return cls(entries=[entry for _, entry in ranked], build_config=header["build_config"])
 
@@ -205,13 +209,15 @@ def build_candidate_pool(
     # each probe contributes the mean over its tokens, so weight per token
     weights = np.concatenate([np.full(p.n_tokens, 1.0 / p.n_tokens) for p in probe_embs])
 
-    token_sets = [e.token_vectors for e in cand_embs]
-    sims = _max_sim_matrix(probe_tokens, token_sets)
-
+    # row j holds candidate j's best similarity to every probe token
+    rows = _max_sim_matrix(probe_tokens, [e.token_vectors for e in cand_embs])
     cur = np.full(probe_tokens.shape[0], EMPTY_SET_COVERAGE)
-    first_gains = (sims - cur[:, None]).T @ weights
+
+    def gain(j: int) -> float:
+        return float((np.maximum(rows[j], cur) - cur) @ weights)
+
     # heap entries: (-gain, candidate index, iteration the gain was computed at)
-    heap = [(-first_gains[j], j, 0) for j in range(len(train))]
+    heap = [(-gain(j), j, 0) for j in range(len(train))]
     heapq.heapify(heap)
     selected = np.zeros(len(train), dtype=bool)
 
@@ -224,10 +230,9 @@ def build_candidate_pool(
             if computed_at == iteration:
                 best, best_gain = j, -neg_gain
                 break
-            fresh = float((np.maximum(sims[:, j], cur) - cur) @ weights)
-            heapq.heappush(heap, (-fresh, j, iteration))
+            heapq.heappush(heap, (-gain(j), j, iteration))
         selected[best] = True
-        np.maximum(cur, sims[:, best], out=cur)
+        np.maximum(cur, rows[best], out=cur)
         entries.append(PoolEntry(train[best].id, train[best].label, float(best_gain)))
 
     return CandidatePool(
@@ -273,7 +278,9 @@ def order_for_query(
     member_embs = _resolve(pool.ids(), embeddings)
     for emb in member_embs:
         _check_dim(query, emb)
-    sims = _max_sim_matrix(query.token_vectors, [e.token_vectors for e in member_embs])
+    rows = _max_sim_matrix(query.token_vectors, [e.token_vectors for e in member_embs])
+    # a query-token-major C-order copy: the column means below sum in this layout
+    sims = np.ascontiguousarray(rows.T)
     n_pool = len(pool.entries)
     scores = sims.mean(axis=0)
 

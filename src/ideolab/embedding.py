@@ -23,7 +23,6 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
@@ -322,17 +321,42 @@ def embed_many(
     cache: Optional[EmbeddingCache] = None,
     max_workers: int = 8,
 ) -> dict[str, TokenEmbeddingSet]:
-    """Embed items with bounded fan-out; returns id -> embedding.
+    """Embed items with bounded fan-out; returns id -> embedding in input order.
 
-    Results are keyed, so the mapping is independent of completion order.
+    Up to ``max_workers`` threads pull items from one shared iterator. The
+    first failure stops every worker before its next fetch and is re-raised.
     """
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {pool.submit(embed_item, item, fields, provider, cache): item.id for item in items}
-        try:
-            return {item_id: future.result() for future, item_id in futures.items()}
-        finally:
-            # after a failure, drop the items still queued instead of running them all
-            pool.shutdown(cancel_futures=True)
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+    items = list(items)
+    embeddings: list[Optional[TokenEmbeddingSet]] = [None] * len(items)
+    failures: list[BaseException] = []
+    lock = threading.Lock()
+    pending = iter(enumerate(items))
+
+    def work() -> None:
+        while True:
+            with lock:
+                if failures:
+                    return
+                index, item = next(pending, (None, None))
+            if item is None:
+                return
+            try:
+                embeddings[index] = embed_item(item, fields, provider, cache)
+            except BaseException as exc:
+                with lock:
+                    failures.append(exc)
+                return
+
+    workers = [threading.Thread(target=work) for _ in range(min(max_workers, len(items)))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if failures:
+        raise failures[0]
+    return {item.id: embedding for item, embedding in zip(items, embeddings)}
 
 
 def load_provider(spec: str, dim: int):

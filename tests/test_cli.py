@@ -381,6 +381,59 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
         assert str(path) in err and "line 2" in err and "'query_id'" in err
 
+    # a row that is valid JSON but not an object, a truncated row, the same
+    # two faults on the header line, and a field of the wrong type or value:
+    # each names the file and its line
+    BAD_ROWS = [(1, "[1, 2]"), (1, '{"kind": "predi'), (3, '"x"'), (3, "[1, 2]"), (3, '{"id": "a", "lab')]
+
+    BAD_POOL_FIELDS = [
+        (3, '{"id": "train-00000", "label": "purple", "rank": 2, "gain": 0.5}'),
+        (3, '{"id": "train-00000", "label": "neutral", "rank": 2, "gain": [0.5]}'),
+        (3, '{"id": "train-00000", "label": "neutral", "rank": "second", "gain": 0.5}'),
+    ]
+    BAD_PREDICTION_FIELDS = [
+        (3, '{"query_id": "q9", "gold": "purple", "parse_status": "ok", "config_hash": "aaa"}'),
+        (3, '{"query_id": "q9", "parse_status": "ok", "attempts": [1], "config_hash": "aaa"}'),
+    ]
+
+    @pytest.mark.parametrize("lineno,bad", BAD_ROWS + BAD_POOL_FIELDS)
+    def test_malformed_pool_row_is_a_located_clean_exit(self, corpus_files, tmp_path, capsys, lineno, bad):
+        train_path, test_path = corpus_files
+        out = tmp_path / "badpool"
+        out.mkdir()
+        header = {"build_config": {"pool_size": 3, "probe_size": 3, "seed": 0}}
+        lines = [json.dumps(header)] + [
+            json.dumps({"id": f"train-{j}", "label": "neutral", "rank": j + 1, "gain": 0.5}) for j in range(3)
+        ]
+        lines[lineno - 1] = bad
+        pool_path = out / "pool.jsonl"
+        pool_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(
+            ["classify", "--dataset", str(test_path), "--train-dataset", str(train_path), "--k", "4",
+             "--mock", "echo_majority"] + base_flags(out)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CoverageError: ")
+        assert len(err.strip().splitlines()) == 1
+        assert f"{pool_path}: line {lineno}:" in err
+
+    @pytest.mark.parametrize("lineno,bad", BAD_ROWS + BAD_PREDICTION_FIELDS)
+    def test_malformed_prediction_row_is_a_located_clean_exit(self, tmp_path, capsys, lineno, bad):
+        path = tmp_path / "preds.jsonl"
+        row = {"gold": "liberal", "pred": "liberal", "parse_status": "ok", "config_hash": "aaa"}
+        lines = [json.dumps({"kind": "predictions", "config": {}, "config_hash": "aaa"})] + [
+            json.dumps(dict(row, query_id=f"q{j}")) for j in range(3)
+        ]
+        lines[lineno - 1] = bad
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["eval", "--predictions", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CliError: ")
+        assert len(err.strip().splitlines()) == 1
+        assert f"{path}: line {lineno}:" in err
+
     def test_embedding_service_down_is_a_clean_exit(self, corpus_files, tmp_path, capsys, monkeypatch):
         train_path, _ = corpus_files
         monkeypatch.setattr(time, "sleep", lambda _: None)

@@ -1,6 +1,9 @@
+import heapq
+
 import numpy as np
 import pytest
 
+from ideolab import coverage
 from ideolab.corpus import ContentItem, Ideology
 from ideolab.coverage import (
     CandidatePool,
@@ -11,6 +14,7 @@ from ideolab.coverage import (
     order_for_query,
     probe_indices,
     set_coverage,
+    token_max_sims,
 )
 
 from conftest import make_embedding
@@ -24,6 +28,44 @@ from reference import (
 
 def labeled_items(n, prefix="it"):
     return [ContentItem(id=f"{prefix}{j}", title=f"{prefix}{j}", label=Ideology(j % 3)) for j in range(n)]
+
+
+def strided_lazy_greedy(token_sets, n, probe_size, seed):
+    """Reference pool build: lazy greedy over a query-token-major
+    similarity matrix, with strided ``sims[:, j]`` re-evaluation and first
+    gains from one matrix product. Returns (picked indices, gains)."""
+    probe = [token_sets[i] for i in probe_indices(len(token_sets), probe_size, seed)]
+    probe_tokens = np.concatenate(probe, axis=0)
+    weights = np.concatenate([np.full(len(p), 1.0 / len(p)) for p in probe])
+    offsets = np.cumsum([0] + [len(t) for t in token_sets[:-1]])
+    sims = np.maximum.reduceat(probe_tokens @ np.concatenate(token_sets, axis=0).T, offsets, axis=1)
+    cur = np.full(probe_tokens.shape[0], -1.0)
+    first_gains = (sims - cur[:, None]).T @ weights
+    heap = [(-first_gains[j], j, 0) for j in range(len(token_sets))]
+    heapq.heapify(heap)
+    selected = np.zeros(len(token_sets), dtype=bool)
+    picked, gains = [], []
+    for iteration in range(1, n + 1):
+        while True:
+            neg_gain, j, computed_at = heapq.heappop(heap)
+            if selected[j]:
+                continue
+            if computed_at == iteration:
+                break
+            fresh = float((np.maximum(sims[:, j], cur) - cur) @ weights)
+            heapq.heappush(heap, (-fresh, j, iteration))
+        selected[j] = True
+        np.maximum(cur, sims[:, j], out=cur)
+        picked.append(j)
+        gains.append(-neg_gain)
+    return picked, gains
+
+
+def in_index_order(picked, twin):
+    """Whether identical copies (equal ``twin`` class) enter in index order."""
+    return all(
+        [j for j in picked if twin[j] == t] == sorted(j for j in picked if twin[j] == t) for t in set(twin)
+    )
 
 
 class TestBsr:
@@ -120,6 +162,22 @@ class TestSetCoverage:
             assert gain_small >= gain_large - 1e-9
 
 
+class TestMaxSimMatrix:
+    def test_rows_match_per_candidate_sims_across_chunks(self, monkeypatch):
+        # the smallest budget (1024 candidate tokens per chunk) splits this pool
+        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1)
+        rng = np.random.default_rng(13)
+        dim = 16
+        query = make_embedding("q", random_token_set(rng, dim, min_tokens=9, max_tokens=20))
+        cands = [make_embedding(f"c{j}", random_token_set(rng, dim, max_tokens=8)) for j in range(500)]
+        assert sum(c.n_tokens for c in cands) > 2 * 1024
+        rows = _max_sim_matrix(query.token_vectors, [c.token_vectors for c in cands])
+        assert rows.shape == (len(cands), query.n_tokens)
+        for j, cand in enumerate(cands):
+            # BLAS rounding depends on the column count of the product
+            np.testing.assert_allclose(rows[j], token_max_sims(query, cand), rtol=0, atol=1e-12)
+
+
 class TestBuildPool:
     def test_probe_twins_selected_first(self):
         # every item has a single distinct basis-vector token, so the
@@ -131,6 +189,34 @@ class TestBuildPool:
         twins = {f"it{j}" for j in probe_indices(dim, 3, seed)}
         pool = build_candidate_pool(items, emb, n=3, probe_size=3, seed=seed)
         assert {e.item_id for e in pool.entries} == twins
+
+    def test_bit_identical_to_strided_build(self):
+        # the strided build takes its first gains from one matrix-vector
+        # product, which can round two identical columns differently (BLAS
+        # blocks columns in groups), and so may name the higher-index copy of
+        # a tie first. Such trials check the documented tie-break alone
+        rng = np.random.default_rng(57)
+        exact = 0
+        for trial in range(25):
+            dim = int(rng.integers(4, 33))
+            distinct = [random_token_set(rng, dim, max_tokens=6) for _ in range(int(rng.integers(10, 40)))]
+            # duplicated candidates tie exactly, so the tie-break is exercised
+            copies = rng.integers(0, len(distinct), size=len(distinct) // 2)
+            twin = list(range(len(distinct))) + copies.tolist()
+            items = labeled_items(len(twin))
+            emb = {it.id: make_embedding(it.id, distinct[t]) for it, t in zip(items, twin)}
+            n = int(rng.integers(1, len(items) + 1))
+            probe_size = int(rng.integers(1, len(items) + 1))
+            pool = build_candidate_pool(items, emb, n=n, probe_size=probe_size, seed=trial)
+            got = [int(i[2:]) for i in pool.ids()]
+            assert in_index_order(got, twin)
+            token_sets = [emb[it.id].token_vectors for it in items]
+            picked, gains = strided_lazy_greedy(token_sets, n, probe_size, trial)
+            if in_index_order(picked, twin):
+                assert got == picked
+                assert [e.gain for e in pool.entries] == gains
+                exact += 1
+        assert exact >= 20
 
     def test_exhaustive_pool_contains_everything(self):
         rng = np.random.default_rng(0)
@@ -248,8 +334,8 @@ class TestOrderForQuery:
             emb = {it.id: make_embedding(it.id, random_token_set(rng, dim, max_tokens=6)) for it in items}
             query = make_embedding("q", random_token_set(rng, dim, min_tokens=9, max_tokens=20))
             pool = build_candidate_pool(items, emb, n=n, probe_size=n, seed=trial)
-            sims = _max_sim_matrix(query.token_vectors, [emb[i].token_vectors for i in pool.ids()])
-            column = dict(zip(pool.ids(), sims.T))
+            rows = _max_sim_matrix(query.token_vectors, [emb[i].token_vectors for i in pool.ids()])
+            column = dict(zip(pool.ids(), rows))
             ranked = order_for_query(query, pool, emb, mode=mode).ranked
             cur = np.full(query.n_tokens, -1.0)
             previous = -1.0

@@ -94,20 +94,50 @@ class TestEmbedItem:
         assert set(out) == {it.id for it in items}
 
     def test_embed_many_drops_queued_items_after_a_failure(self):
+        max_workers = 8
         calls = []
+        lock = threading.Lock()
+        all_started = threading.Event()
 
         class Down:
             dim = 8
 
             def fetch(self, item_id, fields_hash, text):
-                calls.append(item_id)
-                time.sleep(0.02)
-                raise ProviderUnreachableError("service down")
+                with lock:
+                    calls.append(item_id)
+                    if len(calls) == max_workers:
+                        all_started.set()
+                # fail only once every worker holds an item, so none is idle
+                all_started.wait(timeout=5)
+                raise ProviderUnreachableError(f"service down at {item_id}")
 
-        items = [item(f"i{n}") for n in range(20)]
-        with pytest.raises(ProviderUnreachableError):
-            embed_many(items, TITLE, Down(), max_workers=2)
-        assert len(calls) < len(items)
+        items = [item(f"i{n}") for n in range(45)]
+        with pytest.raises(ProviderUnreachableError, match="service down"):
+            embed_many(items, TITLE, Down(), max_workers=max_workers)
+        # each worker fetches once; no fetch starts after the first failure
+        assert len(calls) == max_workers
+
+    def test_embed_many_keeps_input_order(self):
+        provider = HashedProvider(dim=8)
+
+        class LaterFirst:
+            dim = 8
+
+            def fetch(self, item_id, fields_hash, text):
+                # early items finish last
+                time.sleep(0.002 * (12 - int(item_id[1:])))
+                return provider.fetch(item_id, fields_hash, text)
+
+        items = [item(f"i{n}", f"title {n} words") for n in range(12)]
+        out = embed_many(items, TITLE, LaterFirst(), max_workers=4)
+        assert list(out) == [it.id for it in items]
+        for it in items:
+            assert np.array_equal(out[it.id].token_vectors, embed_item(it, TITLE, provider).token_vectors)
+
+    @pytest.mark.parametrize("items", [[], [item()]])
+    def test_embed_many_rejects_no_workers(self, items):
+        with pytest.raises(ValueError, match="max_workers"):
+            embed_many(items, TITLE, HashedProvider(dim=8), max_workers=0)
 
 
 class TestFieldsHash:
