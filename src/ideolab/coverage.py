@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -69,31 +71,34 @@ def set_coverage(query: TokenEmbeddingSet, members: Sequence[TokenEmbeddingSet])
     return float(cur.mean())
 
 
-def _max_sim_matrix(query_tokens: np.ndarray, token_sets: Sequence[np.ndarray]) -> np.ndarray:
+def _bounds(counts) -> np.ndarray:
+    """Token-row bounds of stacked sets: set j spans rows bounds[j]:bounds[j + 1]."""
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+
+
+def _max_sim_matrix(query_tokens: np.ndarray, bounds: np.ndarray, block) -> np.ndarray:
     """Matrix M with M[j, i] = max over set j's tokens of (query token i . token).
 
-    Row j belongs to candidate set j, so a caller that walks candidates
-    reads contiguous memory. Candidate token sets are processed in groups
-    so the intermediate similarity block stays below
-    ``_MAX_CHUNK_ELEMENTS`` floats.
+    ``bounds`` are the sets' token-row bounds (see :func:`_bounds`) and
+    ``block(start, stop)`` returns the tokens of sets start..stop-1 stacked
+    in order. Row j belongs to candidate set j, so a caller that walks
+    candidates reads contiguous memory. Sets are processed in consecutive
+    chunks, each as many sets as fit in ``_MAX_CHUNK_ELEMENTS`` floats of
+    similarity block (at least one set), so the block stays bounded and
+    the chunks, and with them BLAS rounding, depend only on the token counts.
     """
     n_q = query_tokens.shape[0]
-    out = np.empty((len(token_sets), n_q))
+    n_sets = len(bounds) - 1
+    out = np.empty((n_sets, n_q))
     budget = max(1024, _MAX_CHUNK_ELEMENTS // max(n_q, 1))
     start = 0
-    while start < len(token_sets):
-        stop = start
-        total = 0
-        while stop < len(token_sets) and (total == 0 or total + len(token_sets[stop]) <= budget):
-            total += len(token_sets[stop])
-            stop += 1
-        chunk = token_sets[start:stop]
-        stacked = np.concatenate(chunk, axis=0)
+    while start < n_sets:
+        # the last set whose end stays within the budget, but at least one set
+        stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + budget, side="right")) - 1)
         # the product keeps the query-token-major orientation on purpose:
-        # BLAS rounds ``stacked @ query_tokens.T`` differently in the last bit
-        sims = query_tokens @ stacked.T
-        offsets = np.cumsum([0] + [len(t) for t in chunk[:-1]])
-        out[start:stop] = np.maximum.reduceat(sims, offsets, axis=1).T
+        # BLAS rounds ``block @ query_tokens.T`` differently in the last bit
+        sims = query_tokens @ block(start, stop).T
+        out[start:stop] = np.maximum.reduceat(sims, bounds[start:stop] - bounds[start], axis=1).T
         start = stop
     return out
 
@@ -118,6 +123,9 @@ class CandidatePool:
 
     entries: list[PoolEntry]
     build_config: dict = field(default_factory=dict)
+    # the members' stacked tokens for order_for_query, built on first use
+    # and revalidated on every call (see _pool_index)
+    _index: Optional[_PoolIndex] = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -162,6 +170,48 @@ class CandidatePool:
                 raise CoverageError(f"{path}: line {lineno}: bad pool row ({exc})") from None
         ranked.sort(key=lambda pair: pair[0])
         return cls(entries=[entry for _, entry in ranked], build_config=header["build_config"])
+
+
+@dataclass
+class _PoolIndex:
+    """A pool's member token sets, their tokens stacked once in pool order."""
+
+    members: list[TokenEmbeddingSet]
+    tokens: np.ndarray  # C-contiguous, one row per member token
+    bounds: np.ndarray  # member j's tokens are rows bounds[j]:bounds[j + 1]
+
+
+def _pool_index(
+    pool: CandidatePool, ids: list[str], embeddings: Mapping[str, TokenEmbeddingSet]
+) -> _PoolIndex:
+    """The pool's index for ``embeddings``, rebuilt unless each of ``ids``
+    still maps to the very set the cached index holds at its position.
+
+    The identity walk catches entries reordered or replaced in place and a
+    different or edited mapping; it cannot see arrays edited inside a set.
+    All members must share one dim, checked here once per build.
+    """
+    index = pool._index
+    if (
+        index is not None
+        and len(index.members) == len(ids)
+        and all(map(operator.is_, map(embeddings.get, ids), index.members))
+    ):
+        return index
+    members = _resolve(ids, embeddings)
+    for member in members:
+        if member.dim != members[0].dim:
+            raise CoverageError(
+                f"inconsistent embedding dims in pool: candidate {members[0].item_id!r} has dim "
+                f"{members[0].dim}, candidate {member.item_id!r} has dim {member.dim}"
+            )
+    index = _PoolIndex(
+        members=members,
+        tokens=np.concatenate([m.token_vectors for m in members], axis=0),
+        bounds=_bounds([m.n_tokens for m in members]),
+    )
+    pool._index = index
+    return index
 
 
 def _resolve(
@@ -209,8 +259,13 @@ def build_candidate_pool(
     # each probe contributes the mean over its tokens, so weight per token
     weights = np.concatenate([np.full(p.n_tokens, 1.0 / p.n_tokens) for p in probe_embs])
 
-    # row j holds candidate j's best similarity to every probe token
-    rows = _max_sim_matrix(probe_tokens, [e.token_vectors for e in cand_embs])
+    # row j holds candidate j's best similarity to every probe token; the
+    # candidates are stacked one chunk at a time, never all at once
+    rows = _max_sim_matrix(
+        probe_tokens,
+        _bounds([e.n_tokens for e in cand_embs]),
+        lambda start, stop: np.concatenate([e.token_vectors for e in cand_embs[start:stop]]),
+    )
     cur = np.full(probe_tokens.shape[0], EMPTY_SET_COVERAGE)
 
     def gain(j: int) -> float:
@@ -248,12 +303,51 @@ class RankedEntry:
     cumulative_coverage: float
 
 
+class _Ranking(abc.Sequence):
+    """Read-only ranked entries over an ordering's arrays: entry r is pool
+    member ``order[r]`` with ``gains[r]`` and ``coverage[r]``. A
+    :class:`RankedEntry` is built only when read; a slice is a list."""
+
+    __slots__ = ("_ids", "_order", "_gains", "_coverage")
+
+    def __init__(self, ids: list[str], order: np.ndarray, gains: np.ndarray, coverage: np.ndarray):
+        self._ids, self._order, self._gains, self._coverage = ids, order, gains, coverage
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return [self[i] for i in range(*r.indices(len(self)))]
+        return RankedEntry(self._ids[self._order[r]], float(self._gains[r]), float(self._coverage[r]))
+
+    def __iter__(self):
+        # 128 entries at a time, not the whole pool: balanced_select usually
+        # stops after the first ~140 of 1000
+        ids = self._ids
+        for lo in range(0, len(self._order), 128):
+            hi = lo + 128
+            order, gains, coverage = self._order[lo:hi], self._gains[lo:hi], self._coverage[lo:hi]
+            for j, gain, cov in zip(order.tolist(), gains.tolist(), coverage.tolist()):
+                yield RankedEntry(ids[j], gain, cov)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, _Ranking)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"_Ranking({list(self)!r})"
+
+
 @dataclass
 class QueryOrdering:
     """Every pool entry exactly once, best coverage first."""
 
     query_id: str
-    ranked: list[RankedEntry]
+    ranked: Sequence[RankedEntry]
 
 
 def order_for_query(
@@ -275,13 +369,16 @@ def order_for_query(
         raise CoverageError(f"mode must be one of {ORDERING_MODES}, got {mode!r}")
     if not pool.entries:
         raise CoverageError("cannot order an empty pool")
-    member_embs = _resolve(pool.ids(), embeddings)
-    for emb in member_embs:
-        _check_dim(query, emb)
-    rows = _max_sim_matrix(query.token_vectors, [e.token_vectors for e in member_embs])
+    ids = pool.ids()
+    index = _pool_index(pool, ids, embeddings)
+    _check_dim(query, index.members[0])
+    bounds = index.bounds
+    rows = _max_sim_matrix(
+        query.token_vectors, bounds, lambda start, stop: index.tokens[bounds[start] : bounds[stop]]
+    )
     # a query-token-major C-order copy: the column means below sum in this layout
     sims = np.ascontiguousarray(rows.T)
-    n_pool = len(pool.entries)
+    n_pool = len(ids)
     scores = sims.mean(axis=0)
 
     picked: list[int] = []
@@ -305,8 +402,4 @@ def order_for_query(
     # is a contiguous 1-D reduction, so it equals a member-by-member fold exactly
     running = np.vstack([np.full((1, query.n_tokens), EMPTY_SET_COVERAGE), sims[:, order].T])
     coverage = np.maximum.accumulate(running, axis=0).mean(axis=1)
-    ranked = [
-        RankedEntry(pool.entries[j].item_id, gain, cov)
-        for j, gain, cov in zip(order.tolist(), np.diff(coverage).tolist(), coverage[1:].tolist())
-    ]
-    return QueryOrdering(query_id=query.item_id, ranked=ranked)
+    return QueryOrdering(query_id=query.item_id, ranked=_Ranking(ids, order, np.diff(coverage), coverage[1:]))

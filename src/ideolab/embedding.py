@@ -10,8 +10,8 @@ deterministic (same text, same vectors). Three kinds ship:
   network, fully deterministic across processes. Useful for offline runs,
   demos, and tests.
 
-A filesystem cache stores one file per (id, fields_hash) whose content is
-identical to a precomputed-file JSONL record.
+A filesystem cache stores one file per (id, fields_hash, provider) whose
+content is identical to a precomputed-file JSONL record.
 """
 
 from __future__ import annotations
@@ -126,6 +126,17 @@ def fields_hash(config: FieldConfig) -> str:
     return hashlib.sha256(f"fields:{config.key()}".encode("utf-8")).hexdigest()[:12]
 
 
+def _provider_key(provider) -> str:
+    """Stable digest of what decides a provider's vectors: kind, spec and dim.
+
+    Part of every cache file name, so a cache directory never hands one
+    provider's vectors to another.
+    """
+    kind = getattr(provider, "kind", type(provider).__qualname__)
+    spec = getattr(provider, "spec", "")
+    return hashlib.sha256(f"provider:{kind}\n{spec}\n{provider.dim}".encode("utf-8")).hexdigest()[:12]
+
+
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -139,6 +150,7 @@ class HashedProvider:
     """
 
     kind = "hashed"
+    spec = "hashed"
 
     def __init__(self, dim: int = 64):
         if dim < 2:
@@ -179,6 +191,7 @@ class PrecomputedFileProvider:
     def __init__(self, path, dim: int):
         self.dim = dim
         self.path = Path(path)
+        self.spec = f"file:{self.path.resolve()}"
         self._records: dict[tuple[str, str], dict] = {}
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -214,6 +227,7 @@ class HttpProvider:
 
     def __init__(self, url: str, dim: int, timeout: float = 30.0, retries: int = 3):
         self.url = url
+        self.spec = url
         self.dim = dim
         self.timeout = timeout
         self.retries = retries
@@ -239,7 +253,7 @@ class HttpProvider:
 
 
 class EmbeddingCache:
-    """Filesystem cache, one file per (id, fields_hash).
+    """Filesystem cache, one file per (id, fields_hash, provider).
 
     File content is a single precomputed-style JSONL record, so a cache
     directory can be concatenated into a precomputed embeddings file.
@@ -252,12 +266,12 @@ class EmbeddingCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
 
-    def _path(self, item_id: str, fields_hash: str) -> Path:
+    def _path(self, item_id: str, fields_hash: str, provider) -> Path:
         safe_id = hashlib.sha256(item_id.encode("utf-8")).hexdigest()[:20]
-        return self.directory / f"{safe_id}-{fields_hash}.json"
+        return self.directory / f"{safe_id}-{fields_hash}-{_provider_key(provider)}.json"
 
-    def get(self, item_id: str, fields_hash: str) -> Optional[TokenEmbeddingSet]:
-        path = self._path(item_id, fields_hash)
+    def get(self, item_id: str, fields_hash: str, provider) -> Optional[TokenEmbeddingSet]:
+        path = self._path(item_id, fields_hash, provider)
         with self._lock:
             try:
                 raw = path.read_text(encoding="utf-8")
@@ -273,8 +287,8 @@ class EmbeddingCache:
                 path.unlink(missing_ok=True)
                 return None
 
-    def put(self, embedding: TokenEmbeddingSet, fields_hash: str) -> None:
-        path = self._path(embedding.item_id, fields_hash)
+    def put(self, embedding: TokenEmbeddingSet, fields_hash: str, provider) -> None:
+        path = self._path(embedding.item_id, fields_hash, provider)
         payload = json.dumps(embedding.to_record(fields_hash), sort_keys=True) + "\n"
         with self._lock:
             tmp = path.with_suffix(f".tmp{os.getpid()}")
@@ -296,7 +310,7 @@ def embed_item(
     """
     fh = fields_hash(fields)
     if cache is not None:
-        hit = cache.get(item.id, fh)
+        hit = cache.get(item.id, fh, provider)
         if hit is not None:
             return hit
     text = render_fields_text(item, fields)
@@ -310,7 +324,7 @@ def embed_item(
         )
     embedding = TokenEmbeddingSet.from_raw(item.id, tokens, sentence)
     if cache is not None:
-        cache.put(embedding, fh)
+        cache.put(embedding, fh, provider)
     return embedding
 
 

@@ -332,9 +332,11 @@ def classify(
     """Send one prompt and parse the label out of the response.
 
     Retryable transport errors are retried up to ``cfg.max_retries``
-    times, waiting as :func:`_retry` describes. An ambiguous parse
-    triggers exactly one clarification reprompt. Nothing raises; the
-    terminal state lands in ``parse_status``.
+    times, waiting as :func:`_retry` describes. Any other exception from
+    ``llm`` is a transport error that is not retried, recorded as
+    ``[error] <Type>: <message>``. An ambiguous parse triggers exactly one
+    clarification reprompt. Nothing raises; the terminal state lands in
+    ``parse_status``.
     """
 
     def record(pred, raw, status, attempts):
@@ -354,7 +356,17 @@ def classify(
         return record(None, f"[error] {exc}", PARSE_TRANSPORT_ERROR, 0)
     messages = fitted.as_messages(cfg.chat_turns)
 
-    text, attempts, error = _retry(lambda: llm(messages, query_id), cfg.max_retries, sleep)
+    def send(msgs):
+        try:
+            return llm(msgs, query_id)
+        except TransportError:
+            raise
+        except Exception as exc:
+            # one broken call must not cost the rest of the batch
+            logger.warning("query %s: the LLM callable raised", query_id, exc_info=True)
+            raise TransportError(f"{type(exc).__name__}: {exc}", retryable=False) from exc
+
+    text, attempts, error = _retry(lambda: send(messages), cfg.max_retries, sleep)
     if error is not None:
         return record(None, f"[error] {error}", PARSE_TRANSPORT_ERROR, attempts)
 
@@ -362,7 +374,7 @@ def classify(
     if status == PARSE_AMBIGUOUS:
         clarified = [dict(m) for m in messages]
         clarified[-1]["content"] += "\n\n" + CLARIFICATION
-        text2, attempts, error = _retry(lambda: llm(clarified, query_id), cfg.max_retries, sleep, attempts)
+        text2, attempts, error = _retry(lambda: send(clarified), cfg.max_retries, sleep, attempts)
         if error is None:
             pred2, status2 = parse_label(text2, cot=prompt.cot)
             if status2 == PARSE_OK:

@@ -6,8 +6,12 @@ import pytest
 from ideolab import coverage
 from ideolab.corpus import ContentItem, Ideology
 from ideolab.coverage import (
+    GAIN_FLOOR,
     CandidatePool,
     CoverageError,
+    QueryOrdering,
+    RankedEntry,
+    _bounds,
     _max_sim_matrix,
     bsr,
     build_candidate_pool,
@@ -59,6 +63,63 @@ def strided_lazy_greedy(token_sets, n, probe_size, seed):
         picked.append(j)
         gains.append(-neg_gain)
     return picked, gains
+
+
+def max_sim_rows(query_tokens, token_sets):
+    """_max_sim_matrix over sets stacked one chunk at a time, as the pool build stacks them."""
+    return _max_sim_matrix(
+        query_tokens, _bounds([len(t) for t in token_sets]), lambda a, b: np.concatenate(token_sets[a:b])
+    )
+
+
+def chunks_by_set_loop(counts, n_q):
+    """Reference chunk split: (start, stop) runs of sets, grown one set at a
+    time while the run's tokens fit the budget, at least one set each."""
+    budget = max(1024, coverage._MAX_CHUNK_ELEMENTS // max(n_q, 1))
+    chunks = []
+    start = 0
+    while start < len(counts):
+        stop = start
+        total = 0
+        while stop < len(counts) and (total == 0 or total + counts[stop] <= budget):
+            total += counts[stop]
+            stop += 1
+        chunks.append((start, stop))
+        start = stop
+    return chunks
+
+
+def concatenating_order(query_tokens, token_sets, mode):
+    """Reference ordering: the similarity chunks are split by a per-set loop
+    and stacked by ``concatenate`` for every query, then ranked by the same
+    arithmetic as order_for_query. Returns (order, gains, coverage) lists."""
+    n_q = query_tokens.shape[0]
+    rows = np.empty((len(token_sets), n_q))
+    for start, stop in chunks_by_set_loop([len(t) for t in token_sets], n_q):
+        chunk = token_sets[start:stop]
+        sims = query_tokens @ np.concatenate(chunk, axis=0).T
+        offsets = np.cumsum([0] + [len(t) for t in chunk[:-1]])
+        rows[start:stop] = np.maximum.reduceat(sims, offsets, axis=1).T
+    sims = np.ascontiguousarray(rows.T)
+    scores = sims.mean(axis=0)
+    picked = []
+    cur = np.full(n_q, -1.0)
+    remaining = np.ones(len(token_sets), dtype=bool)
+    if mode == "set_bsr_greedy":
+        while remaining.any():
+            gains = (np.maximum(sims, cur[:, None]) - cur[:, None]).mean(axis=0)
+            gains[~remaining] = -np.inf
+            best = int(np.argmax(gains))
+            if gains[best] <= GAIN_FLOOR:
+                break
+            remaining[best] = False
+            picked.append(best)
+            np.maximum(cur, sims[:, best], out=cur)
+    tail = np.argsort(-scores, kind="stable")
+    order = np.concatenate([np.array(picked, dtype=np.intp), tail[remaining[tail]]])
+    running = np.vstack([np.full((1, n_q), -1.0), sims[:, order].T])
+    cum = np.maximum.accumulate(running, axis=0).mean(axis=1)
+    return order.tolist(), np.diff(cum).tolist(), cum[1:].tolist()
 
 
 def in_index_order(picked, twin):
@@ -171,11 +232,31 @@ class TestMaxSimMatrix:
         query = make_embedding("q", random_token_set(rng, dim, min_tokens=9, max_tokens=20))
         cands = [make_embedding(f"c{j}", random_token_set(rng, dim, max_tokens=8)) for j in range(500)]
         assert sum(c.n_tokens for c in cands) > 2 * 1024
-        rows = _max_sim_matrix(query.token_vectors, [c.token_vectors for c in cands])
+        rows = max_sim_rows(query.token_vectors, [c.token_vectors for c in cands])
         assert rows.shape == (len(cands), query.n_tokens)
         for j, cand in enumerate(cands):
             # BLAS rounding depends on the column count of the product
             np.testing.assert_allclose(rows[j], token_max_sims(query, cand), rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("elements", [1, 6000, 40_000])
+    def test_chunks_split_as_the_per_set_loop_did(self, monkeypatch, elements):
+        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", elements)
+        rng = np.random.default_rng(elements)
+        for trial in range(40):
+            counts = rng.integers(1, 400, size=int(rng.integers(1, 60))).tolist()
+            if trial % 4 == 0:
+                counts[int(rng.integers(len(counts)))] = 6000  # one set over any budget
+            n_q = int(rng.integers(1, 9))
+            seen = []
+
+            def block(start, stop):
+                seen.append((start, stop))
+                return np.ones((sum(counts[start:stop]), 2))
+
+            rows = _max_sim_matrix(np.ones((n_q, 2)), _bounds(counts), block)
+            assert seen == chunks_by_set_loop(counts, n_q)
+            assert rows.shape == (len(counts), n_q)
 
 
 class TestBuildPool:
@@ -334,7 +415,7 @@ class TestOrderForQuery:
             emb = {it.id: make_embedding(it.id, random_token_set(rng, dim, max_tokens=6)) for it in items}
             query = make_embedding("q", random_token_set(rng, dim, min_tokens=9, max_tokens=20))
             pool = build_candidate_pool(items, emb, n=n, probe_size=n, seed=trial)
-            rows = _max_sim_matrix(query.token_vectors, [emb[i].token_vectors for i in pool.ids()])
+            rows = max_sim_rows(query.token_vectors, [emb[i].token_vectors for i in pool.ids()])
             column = dict(zip(pool.ids(), rows))
             ranked = order_for_query(query, pool, emb, mode=mode).ranked
             cur = np.full(query.n_tokens, -1.0)
@@ -378,3 +459,145 @@ class TestOrderForQuery:
         pool = CandidatePool(entries=[], build_config={})
         with pytest.raises(CoverageError, match="mode"):
             order_for_query(q, pool, {}, mode="alphabetical")
+
+
+def ordered(query, pool, emb, mode="set_bsr_greedy"):
+    return [(r.item_id, r.marginal_gain, r.cumulative_coverage) for r in order_for_query(query, pool, emb, mode).ranked]
+
+
+def fresh(pool):
+    """A copy of ``pool`` with no index built yet."""
+    return CandidatePool(entries=list(pool.entries), build_config=pool.build_config)
+
+
+class TestPoolIndex:
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(61)
+        items = labeled_items(30)
+        emb = {it.id: make_embedding(it.id, random_token_set(rng, 8, max_tokens=5)) for it in items}
+        query = make_embedding("q", random_token_set(rng, 8, min_tokens=9, max_tokens=12))
+        pool = build_candidate_pool(items, emb, n=20, probe_size=30, seed=2)
+        return rng, emb, query, pool
+
+    def test_built_once_and_reused(self, case):
+        _, emb, query, pool = case
+        first = ordered(query, pool, emb)
+        index = pool._index
+        assert index is not None
+        assert index.tokens.flags.c_contiguous
+        independent = ordered(query, fresh(pool), emb, mode="independent_bsr")
+        assert ordered(query, pool, emb, mode="independent_bsr") == independent
+        assert ordered(query, pool, emb) == first
+        assert pool._index is index
+
+    def test_rebuilt_after_entries_sorted_in_place(self, case):
+        _, emb, query, pool = case
+        ordered(query, pool, emb)
+        index = pool._index
+        pool.entries.sort(key=lambda e: e.item_id)
+        assert ordered(query, pool, emb) == ordered(query, fresh(pool), emb)
+        assert pool._index is not index
+        assert [m.item_id for m in pool._index.members] == pool.ids()
+
+    def test_rebuilt_after_an_entry_is_replaced(self, case):
+        _, emb, query, pool = case
+        before = ordered(query, pool, emb)
+        index = pool._index
+        target = pool.ids()[3]
+        twin = make_embedding(target, emb[target].token_vectors.copy())
+        emb[target] = twin
+        assert ordered(query, pool, emb) == before
+        assert pool._index is not index
+        assert pool._index.members[3] is twin
+
+    def test_replaced_vectors_are_used(self, case):
+        _, emb, query, pool = case
+        ordered(query, pool, emb)
+        target = pool.ids()[5]
+        emb[target] = make_embedding(target, query.token_vectors)
+        got = ordered(query, pool, emb)
+        assert got == ordered(query, fresh(pool), emb)
+        assert got[0][0] == target
+
+    def test_second_mapping_per_field_configuration(self, case):
+        rng, emb, query, pool = case
+        other = {i: make_embedding(i, random_token_set(rng, 8, max_tokens=5)) for i in pool.ids()}
+        want_emb = ordered(query, fresh(pool), emb)
+        want_other = ordered(query, fresh(pool), other)
+        assert want_emb != want_other
+        for mapping, want in [(emb, want_emb), (other, want_other), (emb, want_emb)]:
+            assert ordered(query, pool, mapping) == want
+            assert all(m is mapping[i] for i, m in zip(pool.ids(), pool._index.members))
+
+    def test_missing_embedding_after_build(self, case):
+        _, emb, query, pool = case
+        ordered(query, pool, emb)
+        del emb[pool.ids()[0]]
+        with pytest.raises(CoverageError, match="missing embeddings"):
+            order_for_query(query, pool, emb)
+
+    def test_query_dim_mismatch_names_query_and_candidate(self, case):
+        _, emb, _, pool = case
+        ordered(make_embedding("q", np.eye(8)[:2]), pool, emb)
+        message = r"dimension mismatch: query 'wide' has dim 9, candidate 'it\d+' has dim 8"
+        with pytest.raises(CoverageError, match=message):
+            order_for_query(make_embedding("wide", np.eye(9)[:2]), pool, emb)
+
+    def test_mixed_dims_in_pool(self, case):
+        _, emb, query, pool = case
+        target = pool.ids()[4]
+        emb[target] = make_embedding(target, np.eye(9)[:1])
+        with pytest.raises(CoverageError, match=f"candidate '{target}' has dim 9"):
+            order_for_query(query, pool, emb)
+
+
+class TestChunkedOrdering:
+    @pytest.mark.parametrize("mode", ["set_bsr_greedy", "independent_bsr"])
+    def test_equals_concatenating_reference_across_chunks(self, monkeypatch, mode):
+        # the smallest budget (1024 candidate tokens per chunk) splits this pool
+        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1)
+        rng = np.random.default_rng(67)
+        dim = 12
+        items = labeled_items(600)
+        emb = {it.id: make_embedding(it.id, random_token_set(rng, dim, max_tokens=8)) for it in items}
+        pool = CandidatePool(entries=[coverage.PoolEntry(it.id, it.label, 0.0) for it in items])
+        token_sets = [emb[i].token_vectors for i in pool.ids()]
+        assert sum(len(t) for t in token_sets) > 2 * 1024
+        for trial in range(4):
+            query = make_embedding("q", random_token_set(rng, dim, min_tokens=9, max_tokens=20))
+            order, gains, cum = concatenating_order(query.token_vectors, token_sets, mode)
+            got = order_for_query(query, pool, emb, mode=mode).ranked
+            assert [r.item_id for r in got] == [pool.ids()[j] for j in order]
+            assert [r.marginal_gain for r in got] == gains
+            assert [r.cumulative_coverage for r in got] == cum
+
+
+class TestLazyRanking:
+    def test_matches_eager_list_from_same_arrays(self):
+        rng = np.random.default_rng(71)
+        n = 300  # iteration converts the arrays in blocks of 128
+        items = labeled_items(n)
+        emb = {it.id: make_embedding(it.id, random_token_set(rng, 6, max_tokens=4)) for it in items}
+        query = make_embedding("q", random_token_set(rng, 6, max_tokens=4))
+        pool = build_candidate_pool(items, emb, n=n, probe_size=50, seed=0)
+        ordering = order_for_query(query, pool, emb)
+        ranked = ordering.ranked
+        eager = [
+            RankedEntry(pool.ids()[j], gain, cov)
+            for j, gain, cov in zip(ranked._order.tolist(), ranked._gains.tolist(), ranked._coverage.tolist())
+        ]
+        assert len(ranked) == len(eager) == n
+        assert [ranked[i] for i in range(-n, n)] == eager + eager
+        assert ranked[-1] == eager[-1]
+        for a, b, step in [(0, n, 1), (3, 9, 1), (120, 140, 1), (-5, None, 1), (None, None, -1), (2, 200, 3), (9, 3, 1)]:
+            assert ranked[a:b:step] == eager[a:b:step]
+        assert list(ranked) == eager
+        assert ranked == eager
+        assert ordering == QueryOrdering(query.item_id, eager)
+        with pytest.raises(IndexError):
+            ranked[n]
+        with pytest.raises(TypeError):
+            ranked[0] = eager[1]
+        with pytest.raises(TypeError):
+            del ranked[0]

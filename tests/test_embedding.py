@@ -153,35 +153,37 @@ class TestCache:
         cache = EmbeddingCache(tmp_path)
         provider = HashedProvider(dim=32)
         original = embed_item(item(), TITLE, provider, cache)
-        cached = cache.get("a", fields_hash(TITLE))
+        cached = cache.get("a", fields_hash(TITLE), provider)
         assert cached is not None
         assert np.max(np.abs(cached.token_vectors - original.token_vectors)) <= 1e-6
         assert np.max(np.abs(cached.sentence_vector - original.sentence_vector)) <= 1e-6
 
     def test_cold_cache_misses(self, tmp_path):
-        assert EmbeddingCache(tmp_path).get("nope", "abc") is None
+        assert EmbeddingCache(tmp_path).get("nope", "abc", HashedProvider(dim=8)) is None
 
     def test_corrupt_entry_evicted(self, tmp_path, caplog):
         cache = EmbeddingCache(tmp_path)
-        embed_item(item(), TITLE, HashedProvider(dim=8), cache)
+        provider = HashedProvider(dim=8)
+        embed_item(item(), TITLE, provider, cache)
         (path,) = list(tmp_path.iterdir())
         path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
         with caplog.at_level("WARNING"):
-            assert cache.get("a", fields_hash(TITLE)) is None
+            assert cache.get("a", fields_hash(TITLE), provider) is None
         assert "corrupt" in caplog.text
         assert not path.exists()
 
     def test_no_cross_config_contamination(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
-        embed_item(item(), TITLE, HashedProvider(dim=8), cache)
-        assert cache.get("a", fields_hash(TITLE_SOURCE)) is None
+        provider = HashedProvider(dim=8)
+        embed_item(item(), TITLE, provider, cache)
+        assert cache.get("a", fields_hash(TITLE_SOURCE), provider) is None
 
     def test_bsr_from_cache_matches_fresh(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         provider = HashedProvider(dim=16)
         q_fresh = embed_item(item("q", "alpha beta gamma"), TITLE, provider)
         d_fresh = embed_item(item("d", "beta gamma delta"), TITLE, provider, cache)
-        d_cached = cache.get("d", fields_hash(TITLE))
+        d_cached = cache.get("d", fields_hash(TITLE), provider)
         assert abs(bsr(q_fresh, d_cached) - bsr(q_fresh, d_fresh)) <= 1e-5
 
     def test_concurrent_same_key_access(self, tmp_path):
@@ -193,8 +195,8 @@ class TestCache:
         def worker():
             try:
                 for _ in range(25):
-                    cache.put(reference, fields_hash(TITLE))
-                    got = cache.get("a", fields_hash(TITLE))
+                    cache.put(reference, fields_hash(TITLE), provider)
+                    got = cache.get("a", fields_hash(TITLE), provider)
                     if got is not None and not np.array_equal(got.token_vectors, reference.token_vectors):
                         errors.append("mismatch")
             except Exception as exc:  # pragma: no cover
@@ -206,6 +208,55 @@ class TestCache:
         for t in threads:
             t.join()
         assert errors == []
+
+
+class TestCacheKnowsProvider:
+    def fetch_counting(self, monkeypatch, cls):
+        fetched = []
+        fetch = cls.fetch
+
+        def counted(self, item_id, *args):
+            fetched.append(item_id)
+            return fetch(self, item_id, *args)
+
+        monkeypatch.setattr(cls, "fetch", counted)
+        return fetched
+
+    def test_other_dim_refetches(self, tmp_path, monkeypatch):
+        items = [item(f"i{j}", f"budget vote {j}") for j in range(4)]
+        cache = EmbeddingCache(tmp_path)
+        embed_many(items, TITLE, HashedProvider(dim=64), cache)
+        fetched = self.fetch_counting(monkeypatch, HashedProvider)
+        out = embed_many(items, TITLE, HashedProvider(dim=32), cache)
+        assert sorted(fetched) == ["i0", "i1", "i2", "i3"]
+        assert {e.dim for e in out.values()} == {32}
+        fetched.clear()
+        again = embed_many(items, TITLE, HashedProvider(dim=32), cache)
+        assert fetched == []
+        assert all(np.array_equal(again[i].token_vectors, out[i].token_vectors) for i in out)
+
+    def test_other_provider_of_same_dim_refetches(self, tmp_path, monkeypatch):
+        ts = TokenEmbeddingSet.from_raw("a", np.eye(4)[:2], np.eye(4)[0])
+        path = tmp_path / "emb.jsonl"
+        path.write_text(json.dumps(ts.to_record(fields_hash(TITLE))) + "\n", encoding="utf-8")
+        cache = EmbeddingCache(tmp_path / "cache")
+        hashed = embed_item(item(), TITLE, HashedProvider(dim=4), cache)
+        fetched = self.fetch_counting(monkeypatch, PrecomputedFileProvider)
+        got = embed_item(item(), TITLE, PrecomputedFileProvider(path, dim=4), cache)
+        assert fetched == ["a"]
+        assert np.array_equal(got.token_vectors, ts.token_vectors)
+        assert not np.array_equal(got.token_vectors, hashed.token_vectors)
+
+    def test_entry_without_provider_in_its_name_is_a_miss(self, tmp_path, monkeypatch):
+        cache = EmbeddingCache(tmp_path)
+        provider = HashedProvider(dim=8)
+        embed_item(item(), TITLE, provider, cache)
+        (path,) = list(tmp_path.iterdir())
+        # the file name an entry had before the provider joined the key
+        path.rename(path.with_name(path.name.rsplit("-", 1)[0] + ".json"))
+        fetched = self.fetch_counting(monkeypatch, HashedProvider)
+        embed_item(item(), TITLE, provider, cache)
+        assert fetched == ["a"]
 
 
 class TestPrecomputedFile:

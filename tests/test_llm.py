@@ -214,6 +214,17 @@ class TestClassify:
             record = classify(prompt_with_demos([]), LLMConfig(), mock, query_id="q")
             assert (record.pred is not None) == (record.parse_status == "ok")
 
+    def test_raising_clarification_keeps_the_ambiguous_answer(self):
+        def flaky(messages, query_id=None):
+            if CLARIFICATION in messages[-1]["content"]:
+                raise ValueError("no more")
+            return "liberal or neutral"
+
+        record = classify(prompt_with_demos([]), LLMConfig(), flaky, query_id="q")
+        assert record.parse_status == "ambiguous"
+        assert record.raw_response == "liberal or neutral"
+        assert record.attempts == 2
+
 
 class TestBudget:
     def test_under_budget_untouched(self):
@@ -259,6 +270,25 @@ class TestBatch:
 
     def test_empty(self):
         assert classify_batch([], LLMConfig(), mock_llm("fixed", label="neutral")) == []
+
+    def test_one_raising_callable_costs_one_record(self):
+        calls = []
+
+        def flaky(messages, query_id=None):
+            calls.append(query_id)
+            if query_id == "q3":
+                raise OSError("disk gone")
+            return "neutral"
+
+        tasks = [(f"q{i}", N, prompt_with_demos([N])) for i in range(1, 6)]
+        records = classify_batch(tasks, LLMConfig(max_in_flight=2), flaky, sleep=lambda _: None)
+        assert [r.query_id for r in records] == ["q1", "q2", "q3", "q4", "q5"]
+        assert [r.parse_status for r in records] == ["ok", "ok", "transport_error", "ok", "ok"]
+        failed = records[2]
+        assert failed.raw_response == "[error] OSError: disk gone"
+        assert failed.pred is None
+        assert failed.attempts == 1
+        assert calls.count("q3") == 1
 
 
 class _FakeEndpoint(BaseHTTPRequestHandler):
