@@ -1,9 +1,12 @@
 """Run configuration: one serializable object per experiment run.
 
 The config hash is a stable digest of the canonical JSON serialization,
-excluding the output directory (so re-running the same experiment into a
-different directory yields byte-identical artifacts). Every artifact a
-subcommand writes embeds the hash that produced it.
+excluding the settings that cannot change a deterministic result: the
+output directory (so re-running the same experiment into a different
+directory yields byte-identical artifacts), the embedding cache directory,
+the LLM concurrency and the request timeout. ``max_retries`` stays hashed,
+because another retry can turn a transport error into a prediction. Every
+artifact a subcommand writes embeds the hash that produced it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-HASH_EXCLUDED_FIELDS = ("out",)
+HASH_EXCLUDED_FIELDS = ("out", "cache_dir", "max_in_flight", "timeout")
 
 
 @dataclass

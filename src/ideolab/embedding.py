@@ -20,6 +20,7 @@ import hashlib
 import json
 import logging
 import os
+import queue
 import re
 import threading
 import time
@@ -184,17 +185,23 @@ class HashedProvider:
 
 
 class PrecomputedFileProvider:
-    """Embeddings read from a JSONL file of (id, fields_hash) records."""
+    """Embeddings read from a JSONL file of (id, fields_hash) records.
+
+    ``spec`` names the resolved path and a digest of the file's bytes, so a
+    file regenerated at the same path never serves the old file's cached
+    vectors.
+    """
 
     kind = "precomputed_file"
 
     def __init__(self, path, dim: int):
         self.dim = dim
         self.path = Path(path)
-        self.spec = f"file:{self.path.resolve()}"
         self._records: dict[tuple[str, str], dict] = {}
-        with open(self.path, "r", encoding="utf-8") as fh:
+        digest = hashlib.sha256()
+        with open(self.path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
+                digest.update(line)
                 if not line.strip():
                     continue
                 record = json.loads(line)
@@ -204,6 +211,7 @@ class PrecomputedFileProvider:
                         f"provider expects {dim}"
                     )
                 self._records[(record["id"], record["fields_hash"])] = record
+        self.spec = f"file:{self.path.resolve()}:{digest.hexdigest()[:16]}"
 
     def fetch(self, item_id: str, fields_hash: str, text: str):
         record = self._records.get((item_id, fields_hash))
@@ -259,6 +267,8 @@ class EmbeddingCache:
     directory can be concatenated into a precomputed embeddings file.
     Corrupt entries are treated as misses, evicted, and logged. Access is
     internally synchronized; writes are atomic (write-then-rename).
+    :func:`embed_many` calls ``get`` and ``put`` on its calling thread
+    only; just the provider fetches run on its workers.
     """
 
     def __init__(self, directory):
@@ -335,41 +345,73 @@ def embed_many(
     cache: Optional[EmbeddingCache] = None,
     max_workers: int = 8,
 ) -> dict[str, TokenEmbeddingSet]:
-    """Embed items with bounded fan-out; returns id -> embedding in input order.
+    """Embed items with bounded fetch fan-out; returns id -> embedding in input order.
 
-    Up to ``max_workers`` threads pull items from one shared iterator. The
-    first failure stops every worker before its next fetch and is re-raised.
+    The calling thread looks every item up in the cache, in input order.
+    Only the misses fan out: up to ``max_workers`` threads pull them from one
+    shared iterator and fetch each through :func:`embed_item`, without the
+    cache. Each result comes back through a queue and the calling thread
+    writes it to the cache as it arrives, so a later failure never loses a
+    fetch already made. The first failure, of a fetch or of a cache write,
+    stops every worker before its next fetch and is re-raised once they exit.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     items = list(items)
-    embeddings: list[Optional[TokenEmbeddingSet]] = [None] * len(items)
-    failures: list[BaseException] = []
+    fh = fields_hash(fields)
+    embeddings: list[Optional[TokenEmbeddingSet]] = [
+        cache.get(item.id, fh, provider) if cache is not None else None for item in items
+    ]
+    misses = [(index, item) for index, item in enumerate(items) if embeddings[index] is None]
+    pending = iter(misses)
     lock = threading.Lock()
-    pending = iter(enumerate(items))
+    stop = threading.Event()
+    results: queue.SimpleQueue = queue.SimpleQueue()
 
     def work() -> None:
-        while True:
+        while not stop.is_set():
             with lock:
-                if failures:
-                    return
                 index, item = next(pending, (None, None))
             if item is None:
-                return
+                break
             try:
-                embeddings[index] = embed_item(item, fields, provider, cache)
+                outcome = embed_item(item, fields, provider)
             except BaseException as exc:
-                with lock:
-                    failures.append(exc)
-                return
+                stop.set()
+                outcome = exc
+            results.put((index, outcome))
+        results.put(None)  # this worker is done
 
-    workers = [threading.Thread(target=work) for _ in range(min(max_workers, len(items)))]
+    workers = [threading.Thread(target=work) for _ in range(min(max_workers, len(misses)))]
     for worker in workers:
         worker.start()
-    for worker in workers:
-        worker.join()
-    if failures:
-        raise failures[0]
+    failure: Optional[BaseException] = None
+    try:
+        live = len(workers)
+        while live:
+            result = results.get()
+            if result is None:
+                live -= 1
+                continue
+            index, outcome = result
+            if isinstance(outcome, BaseException):
+                if failure is None:
+                    failure = outcome
+                continue
+            embeddings[index] = outcome
+            if cache is not None:
+                try:
+                    cache.put(outcome, fh, provider)
+                except BaseException as exc:
+                    stop.set()
+                    if failure is None:
+                        failure = exc
+    finally:
+        stop.set()
+        for worker in workers:
+            worker.join()
+    if failure is not None:
+        raise failure
     return {item.id: embedding for item, embedding in zip(items, embeddings)}
 
 

@@ -459,6 +459,15 @@ class TestConfig:
         b = RunConfig(dataset="d.jsonl", k=4, out="runs/b")
         assert a.config_hash == b.config_hash
 
+    @pytest.mark.parametrize("field, a, b", [("cache_dir", "", "cache"), ("max_in_flight", 4, 1), ("timeout", 30.0, 5.0)])
+    def test_hash_ignores_run_only_settings(self, field, a, b):
+        base = RunConfig(dataset="d.jsonl", k=4)
+        assert base.merged({field: a}).config_hash == base.merged({field: b}).config_hash
+
+    def test_hash_keeps_max_retries(self):
+        base = RunConfig(dataset="d.jsonl", k=4)
+        assert base.merged({"max_retries": 0}).config_hash != base.merged({"max_retries": 3}).config_hash
+
     def test_hash_sensitive_to_settings(self):
         a = RunConfig(dataset="d.jsonl", k=4)
         b = RunConfig(dataset="d.jsonl", k=8)

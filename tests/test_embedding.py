@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 
@@ -140,6 +141,104 @@ class TestEmbedItem:
             embed_many(items, TITLE, HashedProvider(dim=8), max_workers=0)
 
 
+class CountingProvider:
+    """HashedProvider that records each fetched id and can fail on one."""
+
+    def __init__(self, dim=8, fail_on=None):
+        self.inner = HashedProvider(dim=dim)
+        self.dim = dim
+        self.fail_on = fail_on
+        self.fetched = []
+
+    def fetch(self, item_id, fields_hash, text):
+        self.fetched.append(item_id)
+        if item_id == self.fail_on:
+            raise ProviderUnreachableError(f"service down at {item_id}")
+        return self.inner.fetch(item_id, fields_hash, text)
+
+
+class TestEmbedManyCache:
+    ITEMS = [item(f"i{n}", f"title {n} words") for n in range(12)]
+
+    def test_cache_io_runs_on_the_calling_thread(self, tmp_path):
+        threads = []
+
+        class Recording(EmbeddingCache):
+            def get(self, *args):
+                threads.append(threading.get_ident())
+                return super().get(*args)
+
+            def put(self, *args):
+                threads.append(threading.get_ident())
+                return super().put(*args)
+
+        cache = Recording(tmp_path)
+        embed_many(self.ITEMS[::2], TITLE, HashedProvider(dim=8), cache, max_workers=4)
+        embed_many(self.ITEMS, TITLE, HashedProvider(dim=8), cache, max_workers=4)
+        # 6 cold gets and puts, then 12 gets of which 6 miss and are put
+        assert len(threads) == 6 + 6 + 12 + 6
+        assert set(threads) == {threading.get_ident()}
+
+    def test_fetches_before_a_failure_are_cached(self, tmp_path):
+        cache = EmbeddingCache(tmp_path)
+        provider = CountingProvider(fail_on="i5")
+        with pytest.raises(ProviderUnreachableError, match="i5"):
+            embed_many(self.ITEMS, TITLE, provider, cache, max_workers=1)
+        assert provider.fetched == [f"i{n}" for n in range(6)]
+        cached = [cache.get(it.id, fields_hash(TITLE), provider) is not None for it in self.ITEMS]
+        assert cached == [True] * 5 + [False] * 7
+
+    def test_hits_are_not_fetched_and_misses_once(self, tmp_path):
+        items = [item(f"i{n}", f"title {n} words") for n in range(90)]
+        cache = EmbeddingCache(tmp_path)
+        provider = CountingProvider()
+        embed_many(items[::3], TITLE, provider, cache, max_workers=4)
+        provider.fetched.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # more workers than cores, switching threads as often as possible
+            out = embed_many(items, TITLE, provider, cache, max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        misses = [it.id for n, it in enumerate(items) if n % 3]
+        assert sorted(provider.fetched) == sorted(misses)
+        assert list(out) == [it.id for it in items]
+        assert all(cache.get(it.id, fields_hash(TITLE), provider) is not None for it in items)
+
+    def test_cached_results_equal_uncached(self, tmp_path):
+        provider = HashedProvider(dim=8)
+        cache = EmbeddingCache(tmp_path)
+        fresh = embed_many(self.ITEMS, TITLE, provider, max_workers=4)
+        embed_many(self.ITEMS[1::2], TITLE, provider, cache, max_workers=4)
+        mixed = embed_many(self.ITEMS, TITLE, provider, cache, max_workers=4)
+        assert list(mixed) == list(fresh) == [it.id for it in self.ITEMS]
+        for key, expected in fresh.items():
+            assert np.array_equal(mixed[key].token_vectors, expected.token_vectors)
+            assert np.array_equal(mixed[key].sentence_vector, expected.sentence_vector)
+
+    def test_failing_put_stops_fetches_and_is_reraised(self, tmp_path):
+        put_failed = threading.Event()
+
+        class Full(EmbeddingCache):
+            def put(self, *args):
+                put_failed.set()
+                raise OSError("disk full")
+
+        class Slow(CountingProvider):
+            def fetch(self, item_id, fields_hash, text):
+                if item_id != "i0":
+                    # the fetch in flight when the first put fails
+                    put_failed.wait(timeout=5)
+                    time.sleep(0.05)
+                return super().fetch(item_id, fields_hash, text)
+
+        provider = Slow()
+        with pytest.raises(OSError, match="disk full"):
+            embed_many(self.ITEMS, TITLE, provider, Full(tmp_path), max_workers=1)
+        assert provider.fetched == ["i0", "i1"]
+
+
 class TestFieldsHash:
     def test_differs_by_config(self):
         assert fields_hash(TITLE) != fields_hash(TITLE_SOURCE)
@@ -246,6 +345,20 @@ class TestCacheKnowsProvider:
         assert fetched == ["a"]
         assert np.array_equal(got.token_vectors, ts.token_vectors)
         assert not np.array_equal(got.token_vectors, hashed.token_vectors)
+
+    def test_regenerated_file_refetches(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        cache = EmbeddingCache(tmp_path / "cache")
+
+        def write(vector):
+            ts = TokenEmbeddingSet.from_raw("a", [vector], vector)
+            path.write_text(json.dumps(ts.to_record(fields_hash(TITLE))) + "\n", encoding="utf-8")
+
+        write([1.0, 0.0, 0.0, 0.0])
+        embed_item(item(), TITLE, PrecomputedFileProvider(path, dim=4), cache)
+        write([0.0, 1.0, 0.0, 0.0])
+        got = embed_item(item(), TITLE, PrecomputedFileProvider(path, dim=4), cache)
+        assert np.array_equal(got.token_vectors, [[0.0, 1.0, 0.0, 0.0]])
 
     def test_entry_without_provider_in_its_name_is_a_miss(self, tmp_path, monkeypatch):
         cache = EmbeddingCache(tmp_path)
