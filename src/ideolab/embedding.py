@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .corpus import ContentItem
-from .llm import _post, _retry
+from .llm import _ConnectionPool, _post, _retry
 from .prompting import FieldConfig, render_fields_text
 
 logger = logging.getLogger(__name__)
@@ -228,7 +228,8 @@ class HttpProvider:
     """Embeddings fetched from an HTTP service: POST {"text": ...}.
 
     The response body mirrors a precomputed-file record minus the id:
-    {"dim": int, "tokens": [[...], ...], "sentence": [...]}.
+    {"dim": int, "tokens": [[...], ...], "sentence": [...]}. Connections
+    are kept alive in one pool that the workers of :func:`embed_many` share.
     """
 
     kind = "http_service"
@@ -239,18 +240,17 @@ class HttpProvider:
         self.dim = dim
         self.timeout = timeout
         self.retries = retries
+        self._pool = _ConnectionPool()
 
     def fetch(self, item_id: str, fields_hash: str, text: str):
-        import requests
-
         def post():
-            return _post(requests.post, self.url, json={"text": text}, timeout=self.timeout)
+            return _post(self._pool, self.url, {"text": text}, self.timeout)
 
-        resp, _, error = _retry(post, self.retries, time.sleep)
+        raw, _, error = _retry(post, self.retries, time.sleep)
         if error is not None:
             raise ProviderUnreachableError(f"{self.url}: {error}") from error
         # an undecodable body is not retried: the same request fails again
-        body = resp.json()
+        body = json.loads(raw)
         if int(body["dim"]) != self.dim:
             raise DimensionMismatchError(
                 f"{item_id}: service returned dim {body['dim']}, expected {self.dim}"

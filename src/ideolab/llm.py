@@ -8,12 +8,20 @@ of request completion order.
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
 import logging
 import math
 import os
 import random
 import re
+import select
+import ssl
+import threading
 import time
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -200,31 +208,184 @@ def mock_from_spec(spec: str) -> LLMCallable:
     return mock_llm(spec)
 
 
-def _post(send: Callable, url: str, **kwargs):
-    """POST once; return the response or raise a :class:`TransportError`.
+_DEFAULT_PORTS = {"http": 80, "https": 443}
 
-    A transport failure or a 5xx is retryable, a 429 is retryable after
-    its ``Retry-After``; a malformed URL or any other 4xx is not, because
-    the same request fails again.
+
+def _split_url(url: str) -> tuple[str, str, int, str]:
+    """Split an http(s) URL into scheme, host, port and request path.
+
+    A malformed URL (no scheme, a scheme other than http/https, no host, a
+    bad port) is a :class:`TransportError` that is not retried.
     """
-    import requests
-
     try:
-        resp = send(url, **kwargs)
-    except requests.RequestException as exc:
-        # requests raises its malformed-URL errors as ValueError subclasses
-        raise TransportError(f"request failed: {exc}", retryable=not isinstance(exc, ValueError)) from exc
-    if resp.status_code == 429:
+        parts = urllib.parse.urlsplit(url)
+        port = parts.port
+    except ValueError as exc:
+        raise TransportError(f"request failed: invalid URL {url!r}: {exc}", retryable=False) from exc
+    if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
+        raise TransportError(f"request failed: invalid URL {url!r}", retryable=False)
+    path = parts.path or "/"
+    if parts.query:
+        path += "?" + parts.query
+    return parts.scheme, parts.hostname, port or _DEFAULT_PORTS[parts.scheme], path
+
+
+def _dropped(sock) -> bool:
+    """True when an idle socket is readable: the server closed it or sent stray bytes."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+class _ConnectionPool:
+    """Keep-alive ``http.client`` connections shared by the threads of one client.
+
+    Idle connections wait per (scheme, host, port) behind one lock. A request
+    takes an idle connection or opens one, so no more are open than requests
+    were ever in flight at once. A connection goes back only after its whole
+    body was read; on any error it is closed. An idle connection the server
+    has closed is replaced before use, so a connection that timed out while
+    idle costs no retry. Proxies (``HTTP(S)_PROXY``, ``NO_PROXY``) and the CA bundle
+    (``REQUESTS_CA_BUNDLE``, then ``CURL_CA_BUNDLE``) are read from the
+    environment when the pool is made.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: dict[tuple[str, str, int], list[http.client.HTTPConnection]] = {}
+        self._proxies = urllib.request.getproxies()
+        self._routes: dict[tuple[str, str, int], Optional[urllib.parse.SplitResult]] = {}
+        self._cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+        self._context: Optional[ssl.SSLContext] = None
+
+    def post(self, url: str, body: bytes, headers: dict, timeout: float) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """POST once; return the status, headers and whole body of the reply."""
+        scheme, host, port, path = _split_url(url)
+        key = (scheme, host, port)
+        proxy = self._proxy(key)
+        conn = self._take(key)
+        if conn is None:
+            conn = self._connect(key, proxy, timeout)
+        elif conn.timeout != timeout:
+            conn.timeout = timeout
+            conn.sock.settimeout(timeout)
+        if proxy is not None and scheme == "http":
+            path = url.partition("#")[0]  # a plain-http proxy takes the absolute URL
+            headers = {**headers, **self._proxy_auth(proxy)}
         try:
-            retry_after = float(resp.headers.get("Retry-After"))
+            conn.request("POST", path, body, headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(key, []).append(conn)
+        return resp.status, resp.headers, data
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+    def _take(self, key) -> Optional[http.client.HTTPConnection]:
+        while True:
+            with self._lock:
+                idle = self._idle.get(key)
+                if not idle:
+                    return None
+                conn = idle.pop()
+            if conn.sock is not None and not _dropped(conn.sock):
+                return conn
+            conn.close()
+
+    def _proxy(self, key) -> Optional[urllib.parse.SplitResult]:
+        """The proxy for this scheme and host, or None; looked up once per key."""
+        try:
+            return self._routes[key]
+        except KeyError:
+            pass
+        scheme, host, _ = key
+        proxy = self._proxies.get(scheme)
+        route = None
+        if proxy and not urllib.request.proxy_bypass(host):
+            route = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        self._routes[key] = route
+        return route
+
+    @staticmethod
+    def _proxy_auth(proxy: urllib.parse.SplitResult) -> dict:
+        if proxy.username is None:
+            return {}
+        user = urllib.parse.unquote(proxy.username)
+        password = urllib.parse.unquote(proxy.password or "")
+        token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+        return {"Proxy-Authorization": f"Basic {token}"}
+
+    def _connect(self, key, proxy, timeout: float) -> http.client.HTTPConnection:
+        scheme, host, port = key
+        if proxy is not None:
+            address = (proxy.hostname, proxy.port or _DEFAULT_PORTS.get(proxy.scheme, 80))
+        else:
+            address = (host, port)
+        if scheme == "http":
+            return http.client.HTTPConnection(*address, timeout=timeout)
+        conn = http.client.HTTPSConnection(*address, timeout=timeout, context=self._ssl_context())
+        if proxy is not None:
+            conn.set_tunnel(host, port, headers=self._proxy_auth(proxy))
+        return conn
+
+    def _ssl_context(self) -> ssl.SSLContext:
+        with self._lock:
+            if self._context is None:
+                cafile = self._cafile
+                try:
+                    if cafile and os.path.isdir(cafile):
+                        self._context = ssl.create_default_context(capath=cafile)
+                    else:
+                        self._context = ssl.create_default_context(cafile=cafile)
+                except (OSError, ssl.SSLError) as exc:
+                    raise TransportError(f"request failed: CA bundle {cafile!r}: {exc}", retryable=False) from exc
+            return self._context
+
+
+_JSON_HEADERS = {"Content-Type": "application/json", "User-Agent": "ideolab"}
+
+
+def _post(pool: _ConnectionPool, url: str, payload, timeout: float, headers: Optional[dict] = None) -> bytes:
+    """POST ``payload`` as JSON once; return the reply body or raise a :class:`TransportError`.
+
+    A transport failure (a socket error, a timeout, a truncated or missing
+    reply) or a 5xx is retryable, a 429 is retryable after its
+    ``Retry-After``; a malformed URL or any other 4xx is not, because the
+    same request fails again.
+    """
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    try:
+        status, reply_headers, data = pool.post(url, body, {**_JSON_HEADERS, **(headers or {})}, timeout)
+    except http.client.InvalidURL as exc:
+        raise TransportError(f"request failed: {exc}", retryable=False) from exc
+    except (OSError, http.client.HTTPException) as exc:
+        raise TransportError(f"request failed: {type(exc).__name__}: {exc}") from exc
+    if status == 429:
+        try:
+            retry_after = float(reply_headers.get("Retry-After"))
         except (TypeError, ValueError):
             retry_after = None
         raise TransportError("rate limited (HTTP 429)", retry_after=retry_after)
-    if resp.status_code >= 500:
-        raise TransportError(f"server error (HTTP {resp.status_code})")
-    if resp.status_code >= 400:
-        raise TransportError(f"request rejected (HTTP {resp.status_code})", retryable=False)
-    return resp
+    if status >= 500:
+        raise TransportError(f"server error (HTTP {status})")
+    if status >= 400:
+        raise TransportError(f"request rejected (HTTP {status})", retryable=False)
+    return data
 
 
 def _retry(call: Callable, max_retries: int, sleep: Callable[[float], None], attempts: int = 0):
@@ -254,10 +415,8 @@ class ChatCompletionsClient:
     the retry policy lives in :func:`classify`)."""
 
     def __init__(self, cfg: LLMConfig):
-        import requests
-
         self.cfg = cfg
-        self._session = requests.Session()
+        self._pool = _ConnectionPool()
 
     def __call__(self, messages: list[dict], query_id: Optional[str] = None) -> str:
         url = self.cfg.resolved_base_url().rstrip("/") + "/v1/chat/completions"
@@ -270,9 +429,9 @@ class ChatCompletionsClient:
             "messages": messages,
             "temperature": self.cfg.temperature,
         }
-        resp = _post(self._session.post, url, json=payload, headers=headers, timeout=self.cfg.timeout)
+        body = _post(self._pool, url, payload, self.cfg.timeout, headers)
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            return json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed response body: {exc}") from exc
 

@@ -407,14 +407,18 @@ class TestHttpProvider:
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
         requests_seen = []
-        failures = []  # (status, headers) answered, in order, before the first 200
+        # answered, in order, before the first 200: (status, headers), or
+        # "truncated" for a 200 whose body stops short of its Content-Length,
+        # or "notjson" for a 200 whose body is not JSON
+        failures = []
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 body = json_module.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 requests_seen.append(body)
-                if failures:
-                    status, headers = failures.pop(0)
+                failure = failures.pop(0) if failures else None
+                if isinstance(failure, tuple):
+                    status, headers = failure
                     self.send_response(status)
                     for name, value in headers.items():
                         self.send_header(name, value)
@@ -425,8 +429,10 @@ class TestHttpProvider:
                 payload = json_module.dumps(
                     {"dim": 4, "tokens": ts.token_vectors.tolist(), "sentence": ts.sentence_vector.tolist()}
                 ).encode()
+                if failure == "notjson":
+                    payload = b"<html>upstream error</html>"
                 self.send_response(200)
-                self.send_header("Content-Length", str(len(payload)))
+                self.send_header("Content-Length", str(len(payload) + (10 if failure == "truncated" else 0)))
                 self.end_headers()
                 self.wfile.write(payload)
 
@@ -437,6 +443,7 @@ class TestHttpProvider:
         threading.Thread(target=server.serve_forever, daemon=True).start()
         yield f"http://127.0.0.1:{server.server_address[1]}/embed", requests_seen, failures
         server.shutdown()
+        server.server_close()
 
     def test_wire_format(self, embed_endpoint):
         url, seen, _ = embed_endpoint
@@ -452,23 +459,22 @@ class TestHttpProvider:
             embed_item(item(), TITLE, provider)
 
     def test_broken_body_is_retried(self, embed_endpoint, monkeypatch):
-        import requests
-
-        url, _, _ = embed_endpoint
-        real_post = requests.post
-        calls = []
-
-        def flaky_post(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
-                raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
-            return real_post(*args, **kwargs)
-
-        monkeypatch.setattr(requests, "post", flaky_post)
+        url, calls, failures = embed_endpoint
+        failures.append("truncated")
         monkeypatch.setattr("ideolab.embedding.time.sleep", lambda _: None)
         tokens, _ = HttpProvider(url, dim=4, retries=1).fetch("a", "fh", "text")
         assert tokens.shape == (2, 4)
         assert len(calls) == 2
+
+    def test_undecodable_body_is_not_retried(self, embed_endpoint, monkeypatch):
+        url, seen, failures = embed_endpoint
+        failures.append("notjson")
+        sleeps = []
+        monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
+        with pytest.raises(ValueError):
+            HttpProvider(url, dim=4).fetch("a", "fh", "text")
+        assert len(seen) == 1
+        assert sleeps == []
 
     def test_rate_limit_honours_retry_after(self, embed_endpoint, monkeypatch):
         url, seen, failures = embed_endpoint
