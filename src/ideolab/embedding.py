@@ -10,8 +10,8 @@ deterministic (same text, same vectors). Three kinds ship:
   network, fully deterministic across processes. Useful for offline runs,
   demos, and tests.
 
-A filesystem cache stores one file per (id, fields_hash, provider) whose
-content is identical to a precomputed-file JSONL record.
+A filesystem cache stores one file per (id, fields_hash, provider): a JSON
+header line, then the vectors as raw little-endian float64.
 """
 
 from __future__ import annotations
@@ -107,15 +107,6 @@ class TokenEmbeddingSet:
             "tokens": self.token_vectors.tolist(),
             "sentence": self.sentence_vector.tolist(),
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "TokenEmbeddingSet":
-        return cls(
-            item_id=record["id"],
-            dim=int(record["dim"]),
-            token_vectors=np.asarray(record["tokens"], dtype=np.float64),
-            sentence_vector=np.asarray(record["sentence"], dtype=np.float64),
-        )
 
 
 def fields_hash(config: FieldConfig) -> str:
@@ -263,12 +254,14 @@ class HttpProvider:
 class EmbeddingCache:
     """Filesystem cache, one file per (id, fields_hash, provider).
 
-    File content is a single precomputed-style JSONL record, so a cache
-    directory can be concatenated into a precomputed embeddings file.
-    Corrupt entries are treated as misses, evicted, and logged. Access is
-    internally synchronized; writes are atomic (write-then-rename).
-    :func:`embed_many` calls ``get`` and ``put`` on its calling thread
-    only; just the provider fetches run on its workers.
+    An entry is one JSON header line (id, fields_hash, dim, n_tokens), then
+    the token rows and the sentence row as raw little-endian float64. An
+    entry whose header does not parse, whose id, fields_hash or dim differ
+    from the lookup's, or whose body is not exactly (n_tokens + 1) * dim * 8
+    bytes is treated as a miss, evicted, and logged; a hit still passes the
+    :class:`TokenEmbeddingSet` checks. Access is internally synchronized; writes are atomic
+    (write-then-rename). :func:`embed_many` calls ``get`` and ``put`` on its
+    calling thread only; just the provider fetches run on its workers.
     """
 
     def __init__(self, directory):
@@ -278,31 +271,45 @@ class EmbeddingCache:
 
     def _path(self, item_id: str, fields_hash: str, provider) -> Path:
         safe_id = hashlib.sha256(item_id.encode("utf-8")).hexdigest()[:20]
-        return self.directory / f"{safe_id}-{fields_hash}-{_provider_key(provider)}.json"
+        return self.directory / f"{safe_id}-{fields_hash}-{_provider_key(provider)}.f64"
 
     def get(self, item_id: str, fields_hash: str, provider) -> Optional[TokenEmbeddingSet]:
         path = self._path(item_id, fields_hash, provider)
         with self._lock:
             try:
-                raw = path.read_text(encoding="utf-8")
+                with open(path, "rb") as fh:
+                    header = json.loads(fh.readline())
+                    if (header["id"], header["fields_hash"], header["dim"]) != (item_id, fields_hash, provider.dim):
+                        raise EmbeddingError("cache entry key mismatch")
+                    shape = (int(header["n_tokens"]) + 1, provider.dim)
+                    size = os.fstat(fh.fileno()).st_size - fh.tell()
+                    if size != shape[0] * shape[1] * 8:
+                        raise EmbeddingError(f"body is {size} bytes, header needs {shape} float64")
+                    vectors = np.empty(shape, dtype="<f8")
+                    if fh.readinto(vectors) != size:
+                        raise EmbeddingError("cache entry shrank while read")
+                return TokenEmbeddingSet(item_id, provider.dim, vectors[:-1], vectors[-1])
             except FileNotFoundError:
                 return None
-            try:
-                record = json.loads(raw)
-                if record["id"] != item_id or record["fields_hash"] != fields_hash:
-                    raise EmbeddingError("cache entry key mismatch")
-                return TokenEmbeddingSet.from_record(record)
-            except (json.JSONDecodeError, KeyError, TypeError, EmbeddingError) as exc:
+            except (ValueError, LookupError, TypeError) as exc:
                 logger.warning("evicting corrupt cache entry %s: %s", path.name, exc)
                 path.unlink(missing_ok=True)
                 return None
 
     def put(self, embedding: TokenEmbeddingSet, fields_hash: str, provider) -> None:
         path = self._path(embedding.item_id, fields_hash, provider)
-        payload = json.dumps(embedding.to_record(fields_hash), sort_keys=True) + "\n"
+        header = {
+            "id": embedding.item_id,
+            "fields_hash": fields_hash,
+            "dim": embedding.dim,
+            "n_tokens": embedding.n_tokens,
+        }
         with self._lock:
             tmp = path.with_suffix(f".tmp{os.getpid()}")
-            tmp.write_text(payload, encoding="utf-8")
+            with open(tmp, "wb") as fh:
+                fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+                fh.write(np.ascontiguousarray(embedding.token_vectors, dtype="<f8"))
+                fh.write(np.ascontiguousarray(embedding.sentence_vector, dtype="<f8"))
             os.replace(tmp, path)
 
 

@@ -10,11 +10,11 @@ separately for auditability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .corpus import IDEOLOGIES, Ideology
 from .llm import PARSE_OK, PredictionRecord
@@ -192,17 +192,35 @@ def mcnemar(
             b += 1
         elif cb and not ca:
             c += 1
+    return _mcnemar_from_counts(b, c, method)
+
+
+def _mcnemar_from_counts(b: int, c: int, method: str) -> McNemarResult:
     if method == "chi2":
         if b + c == 0:
             return McNemarResult(0.0, 1.0, b, c)
         statistic = (abs(b - c) - 1.0) ** 2 / (b + c)
-        return McNemarResult(float(statistic), float(stats.chi2.sf(statistic, df=1)), b, c)
+        # chi-square survival on one degree of freedom
+        return McNemarResult(float(statistic), math.erfc(math.sqrt(statistic / 2.0)), b, c)
     if method == "exact":
-        if b + c == 0:
-            return McNemarResult(0.0, 1.0, b, c)
-        p = stats.binomtest(min(b, c), n=b + c, p=0.5).pvalue
-        return McNemarResult(float(min(b, c)), float(p), b, c)
+        return McNemarResult(float(min(b, c)), _binomial_two_sided_half(b, c), b, c)
     raise EvaluationError(f"method must be 'chi2' or 'exact', got {method!r}")
+
+
+def _binomial_two_sided_half(b: int, c: int) -> float:
+    """Two-sided exact binomial p value of min(b, c) successes in b + c
+    trials at p = 0.5: 2 * P(X <= min(b, c)), capped at 1, and 1 when b = c.
+
+    The pmf terms are summed in log space, so n = 10^5 neither overflows
+    nor needs big-integer binomial coefficients.
+    """
+    if b == c:
+        return 1.0
+    n = b + c
+    log_norm = math.lgamma(n + 1) - n * math.log(2.0)
+    logs = [log_norm - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(min(b, c) + 1)]
+    peak = logs[-1]  # below the mode the pmf rises, so the last term is the largest
+    return min(1.0, 2.0 * math.exp(peak) * math.fsum(math.exp(x - peak) for x in logs))
 
 
 # ---------------------------------------------------------------------------

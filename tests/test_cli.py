@@ -219,6 +219,43 @@ class TestAblate:
         assert len({c["config_hash"] for c in summary["cells"]}) == 16
 
 
+class TestWarmCache:
+    def test_warm_cache_changes_no_result(self, corpus_files, tmp_path, monkeypatch):
+        train_path, test_path = corpus_files
+        pool_dir = tmp_path / "pool"
+        assert main(["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + base_flags(pool_dir)) == 0
+        fetched = []
+        fetch = HashedProvider.fetch
+
+        def counted_fetch(self, *args):
+            fetched.append(args[0])  # list.append is atomic; embed_many fetches on threads
+            return fetch(self, *args)
+
+        monkeypatch.setattr(HashedProvider, "fetch", counted_fetch)
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        artifacts, fetches = {}, {}
+        for run, extra in (("cold", cache), ("warm", cache), ("uncached", [])):
+            out = tmp_path / run
+            fetched.clear()
+            argv = [
+                "ablate", "--dataset", str(test_path), "--train-dataset", str(train_path),
+                "--pool-file", str(pool_dir / "pool.jsonl"), "--mock", "nearest_demo",
+            ]
+            assert main(argv + base_flags(out) + extra) == 0
+            fetches[run] = len(fetched)
+            artifacts[run] = {
+                path.relative_to(out).as_posix(): path.read_bytes()
+                for name in ("predictions.jsonl", "selection_trace.jsonl")
+                for path in out.glob(f"*/{name}")
+            }
+        assert len(artifacts["cold"]) == 2 * 16
+        assert artifacts["warm"] == artifacts["cold"]
+        assert artifacts["uncached"] == artifacts["cold"]
+        expected = len(FIELD_GRID) * (24 + 12)
+        assert fetches == {"cold": expected, "warm": 0, "uncached": expected}
+        assert len(list((tmp_path / "cache").glob("*.f64"))) == expected
+
+
 def ablate_flags(train_path, test_path, out):
     flags = ["--dataset", str(test_path), "--train-dataset", str(train_path), "--mock", "echo_majority"]
     return ["ablate"] + flags + base_flags(out)

@@ -257,6 +257,14 @@ class TestCache:
         assert np.max(np.abs(cached.token_vectors - original.token_vectors)) <= 1e-6
         assert np.max(np.abs(cached.sentence_vector - original.sentence_vector)) <= 1e-6
 
+    def test_round_trip_bit_exact(self, tmp_path):
+        cache = EmbeddingCache(tmp_path)
+        provider = HashedProvider(dim=32)
+        original = embed_item(item(), TITLE, provider, cache)
+        cached = cache.get("a", fields_hash(TITLE), provider)
+        assert np.array_equal(cached.token_vectors, original.token_vectors)
+        assert np.array_equal(cached.sentence_vector, original.sentence_vector)
+
     def test_cold_cache_misses(self, tmp_path):
         assert EmbeddingCache(tmp_path).get("nope", "abc", HashedProvider(dim=8)) is None
 
@@ -265,10 +273,35 @@ class TestCache:
         provider = HashedProvider(dim=8)
         embed_item(item(), TITLE, provider, cache)
         (path,) = list(tmp_path.iterdir())
-        path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
+        path.write_bytes(path.read_bytes()[:40])
         with caplog.at_level("WARNING"):
             assert cache.get("a", fields_hash(TITLE), provider) is None
         assert "corrupt" in caplog.text
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (lambda raw, other: raw[: -8 * 8], "body is"),
+            (lambda raw, other: raw + bytes(8 * 8), "body is"),
+            (lambda raw, other: other, "key mismatch"),
+            (lambda raw, other: b"\xff\x00 not a header\n" + raw.split(b"\n", 1)[1], ""),
+        ],
+        ids=["one_row_short", "one_row_long", "another_items_entry", "unreadable_header"],
+    )
+    def test_bad_entry_evicted(self, tmp_path, caplog, corrupt, reason):
+        cache = EmbeddingCache(tmp_path)
+        provider = HashedProvider(dim=8)
+        embed_item(item(), TITLE, provider, cache)
+        (path,) = list(tmp_path.iterdir())
+        other_dir = tmp_path / "other"
+        embed_item(item("b", "budget vote passes"), TITLE, provider, EmbeddingCache(other_dir))
+        (other,) = list(other_dir.iterdir())
+        path.write_bytes(corrupt(path.read_bytes(), other.read_bytes()))
+        with caplog.at_level("WARNING"):
+            assert cache.get("a", fields_hash(TITLE), provider) is None
+        assert "corrupt" in caplog.text
+        assert reason in caplog.text
         assert not path.exists()
 
     def test_no_cross_config_contamination(self, tmp_path):
@@ -371,6 +404,21 @@ class TestCacheKnowsProvider:
         embed_item(item(), TITLE, provider, cache)
         assert fetched == ["a"]
 
+    def test_old_json_entry_is_an_untouched_miss(self, tmp_path, monkeypatch):
+        cache = EmbeddingCache(tmp_path)
+        provider = HashedProvider(dim=8)
+        original = embed_item(item(), TITLE, provider, cache)
+        (path,) = list(tmp_path.iterdir())
+        path.unlink()
+        # a valid entry of the JSON-text format, under its old file name
+        old = path.with_suffix(".json")
+        old.write_text(json.dumps(original.to_record(fields_hash(TITLE)), sort_keys=True) + "\n", encoding="utf-8")
+        before = old.read_bytes()
+        assert cache.get("a", fields_hash(TITLE), provider) is None
+        fetched = self.fetch_counting(monkeypatch, HashedProvider)
+        embed_item(item(), TITLE, provider, cache)
+        assert fetched == ["a"]
+        assert old.read_bytes() == before
 
 class TestPrecomputedFile:
     def write_file(self, tmp_path, dim=4, declared=None):

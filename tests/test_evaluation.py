@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,6 +15,7 @@ from ideolab.evaluation import (
     EvaluationError,
     MLPHyper,
     delta,
+    _mcnemar_from_counts,
     init_mlp,
     mcnemar,
     mlp_accuracy,
@@ -22,6 +30,7 @@ from ideolab.llm import PredictionRecord
 from ideolab.synthetic import cluster_sentence_embeddings, synthetic_corpus
 
 L, N, C = Ideology.LIBERAL, Ideology.NEUTRAL, Ideology.CONSERVATIVE
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_record(query_id, gold, pred=None, status="ok", config_hash="h"):
@@ -220,6 +229,52 @@ class TestMcNemar:
         result = mcnemar(*self.from_counts(0, 5), method="exact")
         assert result.statistic == 0.0
         assert result.p == pytest.approx(2 * 0.5**5)
+
+    def test_p_values_match_scipy_below_400_discordant(self):
+        b, c = np.array([(b, n - b) for n in range(1, 400) for b in range(n + 1)]).T
+        pairs = list(zip(b.tolist(), c.tolist()))
+        chi2 = [_mcnemar_from_counts(x, y, "chi2") for x, y in pairs]
+        statistic = np.array([r.statistic for r in chi2])
+        np.testing.assert_allclose([r.p for r in chi2], stats.chi2.sf(statistic, df=1), rtol=1e-12, atol=0)
+        # the exact p depends on min(b, c) alone, so half the grid covers it
+        b, c = b[b <= c], c[b <= c]
+        exact = [_mcnemar_from_counts(x, y, "exact").p for x, y in zip(b.tolist(), c.tolist())]
+        binomial = np.minimum(1.0, 2.0 * stats.binom.cdf(b, b + c, 0.5))
+        np.testing.assert_allclose(exact, np.where(b == c, 1.0, binomial), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 24, 25, 100, 399])
+    def test_exact_matches_scipy_binomtest(self, n):
+        for b in range(n + 1):
+            expected = stats.binomtest(min(b, n - b), n, 0.5).pvalue
+            assert _mcnemar_from_counts(b, n - b, "exact").p == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_exact_at_a_hundred_thousand_discordant(self):
+        start = time.perf_counter()
+        result = _mcnemar_from_counts(49_500, 50_500, "exact")
+        assert time.perf_counter() - start < 1.0
+        assert result.p == pytest.approx(stats.binomtest(49_500, 100_000, 0.5).pvalue, rel=1e-8)
+
+    def test_compare_runs_without_scipy_installed(self, tmp_path):
+        paths = []
+        for name, records in zip("ab", self.from_counts(0, 5)):
+            path = tmp_path / f"{name}.jsonl"
+            rows = [{"kind": "predictions", "config_hash": "h"}] + [r.to_json_dict() for r in records]
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+            paths.append(str(path))
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import ideolab.cli\n"
+            "sys.exit(ideolab.cli.main(['compare', '--a', sys.argv[1], '--b', sys.argv[2], '--exact']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *paths], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout.splitlines()[-1])
+        assert (payload["b"], payload["c"]) == (0, 5)
+        assert payload["p"] == pytest.approx(2 * 0.5**5)
 
     def test_parse_failures_count_incorrect(self):
         golds = [L, L]
