@@ -21,7 +21,7 @@ from .config import RunConfig
 from .corpus import LabelMapping, _json_rows, load_dataset, write_dataset
 from .coverage import CandidatePool, build_candidate_pool, order_for_query
 from .embedding import EmbeddingCache, ProviderUnreachableError, embed_many, load_provider
-from .evaluation import mcnemar, score
+from .evaluation import EvalReport, mcnemar, score
 from .llm import ChatCompletionsClient, LLMConfig, PredictionRecord, classify_batch, mock_from_spec
 from .prompting import FIELD_GRID, FieldConfig, render
 from .selection import DemonstrationSet, balanced_select, random_select
@@ -265,7 +265,8 @@ def cmd_classify(cfg: RunConfig, dump_prompts: bool = False) -> int:
     return 0
 
 
-def run_eval(cfg: RunConfig, predictions_path) -> Path:
+def run_eval(cfg: RunConfig, predictions_path) -> EvalReport:
+    """Score a predictions file and write the report to ``<out>/report.json``."""
     header, records = _read_predictions(predictions_path)
     report = score(
         records,
@@ -273,21 +274,18 @@ def run_eval(cfg: RunConfig, predictions_path) -> Path:
         bootstrap_resamples=cfg.bootstrap_resamples,
         seed=cfg.seed,
     )
-    out = _out_dir(cfg)
-    report_path = out / "report.json"
-    report_path.write_text(
+    (_out_dir(cfg) / "report.json").write_text(
         json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    return report_path
+    return report
 
 
 def cmd_eval(cfg: RunConfig, predictions: Optional[str]) -> int:
     predictions_path = Path(predictions) if predictions else Path(cfg.out) / "predictions.jsonl"
     if not predictions_path.exists():
         raise CliError(f"predictions file not found: {predictions_path}")
-    report_path = run_eval(cfg, predictions_path)
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    print(f"accuracy {report['accuracy']:.4f} (n={report['n']}) -> {report_path}")
+    report = run_eval(cfg, predictions_path)
+    print(f"accuracy {report.accuracy:.4f} (n={report.n}) -> {Path(cfg.out) / 'report.json'}")
     return 0
 
 
@@ -324,18 +322,17 @@ def cmd_ablate(cfg: RunConfig, dump_prompts: bool = False) -> int:
     ]
     cells = []
     for cell_cfg, predictions_path in _classify_cells(cfg, grid, dump_prompts):
-        report_path = run_eval(cell_cfg, predictions_path)
-        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report = run_eval(cell_cfg, predictions_path)
         cells.append(
             {
                 "k": cell_cfg.k,
                 "fields": cell_cfg.fields,
-                "config_hash": report["config_hash"],
-                "accuracy": report["accuracy"],
-                "report": str(report_path),
+                "config_hash": report.config_hash,
+                "accuracy": report.accuracy,
+                "report": str(Path(cell_cfg.out) / "report.json"),
             }
         )
-        print(f"k={cell_cfg.k:<3} fields={cell_cfg.fields:<18} accuracy={report['accuracy']:.4f}")
+        print(f"k={cell_cfg.k:<3} fields={cell_cfg.fields:<18} accuracy={report.accuracy:.4f}")
     summary = {"config_hash": cfg.config_hash, "cells": cells}
     (base_out / "ablation_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -143,6 +143,18 @@ def map_label(raw_score: float, mapping: LabelMapping) -> Ideology:
     return Ideology.NEUTRAL
 
 
+def _json_object(text, where: str, error: type[Exception]) -> dict:
+    """Parse ``text`` as one JSON object; anything else raises ``error``
+    prefixed with ``where``."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: malformed JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected a JSON object")
+    return obj
+
+
 def _json_rows(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
     """Yield (1-based line number, object) for each nonblank line of a JSONL file.
 
@@ -150,15 +162,8 @@ def _json_rows(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise error(f"{path}: line {lineno}: expected a JSON object")
-            yield lineno, obj
+            if line.strip():
+                yield lineno, _json_object(line, f"{path}: line {lineno}", error)
 
 
 def _parse_item(obj: dict, lineno: int, schema: LabelMapping) -> ContentItem:

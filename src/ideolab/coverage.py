@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import json
 import operator
-from collections import abc
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -303,51 +302,23 @@ class RankedEntry:
     cumulative_coverage: float
 
 
-class _Ranking(abc.Sequence):
-    """Read-only ranked entries over an ordering's arrays: entry r is pool
-    member ``order[r]`` with ``gains[r]`` and ``coverage[r]``. A
-    :class:`RankedEntry` is built only when read; a slice is a list."""
-
-    __slots__ = ("_ids", "_order", "_gains", "_coverage")
-
-    def __init__(self, ids: list[str], order: np.ndarray, gains: np.ndarray, coverage: np.ndarray):
-        self._ids, self._order, self._gains, self._coverage = ids, order, gains, coverage
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, r):
-        if isinstance(r, slice):
-            return [self[i] for i in range(*r.indices(len(self)))]
-        return RankedEntry(self._ids[self._order[r]], float(self._gains[r]), float(self._coverage[r]))
-
-    def __iter__(self):
-        # 128 entries at a time, not the whole pool: balanced_select usually
-        # stops after the first ~140 of 1000
-        ids = self._ids
-        for lo in range(0, len(self._order), 128):
-            hi = lo + 128
-            order, gains, coverage = self._order[lo:hi], self._gains[lo:hi], self._coverage[lo:hi]
-            for j, gain, cov in zip(order.tolist(), gains.tolist(), coverage.tolist()):
-                yield RankedEntry(ids[j], gain, cov)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, tuple, _Ranking)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"_Ranking({list(self)!r})"
-
-
-@dataclass
+@dataclass(eq=False)
 class QueryOrdering:
-    """Every pool entry exactly once, best coverage first."""
+    """Every pool entry exactly once, best coverage first: ``item_ids[r]``
+    is the pool id at rank r + 1, with marginal gain ``gains[r]`` and
+    cumulative set coverage ``coverage[r]``."""
 
     query_id: str
-    ranked: Sequence[RankedEntry]
+    item_ids: list[str]
+    gains: np.ndarray
+    coverage: np.ndarray
+
+    @property
+    def ranked(self) -> list[RankedEntry]:
+        return [
+            RankedEntry(item_id, gain, cov)
+            for item_id, gain, cov in zip(self.item_ids, self.gains.tolist(), self.coverage.tolist())
+        ]
 
 
 def order_for_query(
@@ -402,4 +373,4 @@ def order_for_query(
     # is a contiguous 1-D reduction, so it equals a member-by-member fold exactly
     running = np.vstack([np.full((1, query.n_tokens), EMPTY_SET_COVERAGE), sims[:, order].T])
     coverage = np.maximum.accumulate(running, axis=0).mean(axis=1)
-    return QueryOrdering(query_id=query.item_id, ranked=_Ranking(ids, order, np.diff(coverage), coverage[1:]))
+    return QueryOrdering(query.item_id, [ids[j] for j in order.tolist()], np.diff(coverage), coverage[1:])

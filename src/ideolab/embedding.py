@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import ContentItem
+from .corpus import ContentItem, _json_object
 from .llm import _ConnectionPool, _post, _retry
 from .prompting import FieldConfig, render_fields_text
 
@@ -175,6 +175,20 @@ class HashedProvider:
         return token_vecs, mean
 
 
+_REPLY_KEYS = ("dim", "tokens", "sentence")
+_FILE_RECORD_KEYS = ("id", "fields_hash") + _REPLY_KEYS
+
+
+def _embedding_record(text, where: str, keys: tuple[str, ...]) -> dict:
+    """One embedding record as a dict holding every one of ``keys``; a
+    malformed record raises :class:`EmbeddingError` prefixed with ``where``."""
+    record = _json_object(text, where, EmbeddingError)
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise EmbeddingError(f"{where}: missing {', '.join(missing)}")
+    return record
+
+
 class PrecomputedFileProvider:
     """Embeddings read from a JSONL file of (id, fields_hash) records.
 
@@ -195,7 +209,7 @@ class PrecomputedFileProvider:
                 digest.update(line)
                 if not line.strip():
                     continue
-                record = json.loads(line)
+                record = _embedding_record(line, f"{self.path}: line {lineno}", _FILE_RECORD_KEYS)
                 if int(record["dim"]) != dim:
                     raise DimensionMismatchError(
                         f"{self.path}:{lineno}: file declares dim {record['dim']}, "
@@ -240,8 +254,8 @@ class HttpProvider:
         raw, _, error = _retry(post, self.retries, time.sleep)
         if error is not None:
             raise ProviderUnreachableError(f"{self.url}: {error}") from error
-        # an undecodable body is not retried: the same request fails again
-        body = json.loads(raw)
+        # a malformed reply is not retried: the same request fails again
+        body = _embedding_record(raw, f"{self.url}: reply for {item_id!r}", _REPLY_KEYS)
         if int(body["dim"]) != self.dim:
             raise DimensionMismatchError(
                 f"{item_id}: service returned dim {body['dim']}, expected {self.dim}"

@@ -69,7 +69,7 @@ def balanced_select(
     labels: Mapping[str, Ideology],
     k: int,
 ) -> DemonstrationSet:
-    """Walk the ranked list admitting entries under the class quotas.
+    """Walk the ranked ids admitting entries under the class quotas.
 
     Depends only on the rank order, never on the score values. Entries
     skipped by quota and never rescued by the fill pass are reported in
@@ -77,7 +77,7 @@ def balanced_select(
     """
     if k < 0:
         raise SelectionError(f"k must be nonnegative, got {k}")
-    if k > 0 and not ordering.ranked:
+    if k > 0 and not ordering.item_ids:
         raise SelectionError("cannot select from an empty ordering")
 
     base, extras = divmod(k, 3)
@@ -85,22 +85,22 @@ def balanced_select(
     members: list[Demonstration] = []
     skipped: list[Demonstration] = []
 
-    for rank, entry in enumerate(ordering.ranked, start=1):
+    for rank, item_id in enumerate(ordering.item_ids, start=1):
         if len(members) == k:
             break
         try:
-            label = labels[entry.item_id]
+            label = labels[item_id]
         except KeyError:
-            raise SelectionError(f"no label for pool entry {entry.item_id!r}") from None
+            raise SelectionError(f"no label for pool entry {item_id!r}") from None
         admit = counts[label] < base
         if not admit and counts[label] == base and extras > 0:
             admit = True
             extras -= 1
         if admit:
             counts[label] += 1
-            members.append(Demonstration(entry.item_id, label, rank))
+            members.append(Demonstration(item_id, label, rank))
         else:
-            skipped.append(Demonstration(entry.item_id, label, rank))
+            skipped.append(Demonstration(item_id, label, rank))
 
     fallback_used = len(members) < k
     if fallback_used:

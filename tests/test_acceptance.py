@@ -13,7 +13,6 @@ from ideolab.cli import derive_seed, main
 from ideolab.corpus import ContentItem, Ideology, write_dataset
 from ideolab.coverage import (
     QueryOrdering,
-    RankedEntry,
     bsr,
     build_candidate_pool,
     order_for_query,
@@ -157,9 +156,9 @@ def test_criterion_03_greedy_pool_guarantee_and_incremental_equivalence():
 
 def test_criterion_04_balanced_select_conformance():
     # pinned hand trace from the algorithm's loop
-    ranked = [RankedEntry(f"e{i}", 1.0, 1.0) for i in range(7)]
+    ids = [f"e{i}" for i in range(7)]
     labels = dict(zip([f"e{i}" for i in range(7)], [L, L, C, N, L, C, N]))
-    result = balanced_select(QueryOrdering("q", ranked), labels, 3)
+    result = balanced_select(QueryOrdering("q", ids, np.ones(7), np.ones(7)), labels, 3)
     assert [m.rank for m in result.members] == [1, 3, 4]
 
     rng = np.random.default_rng(404)
@@ -167,9 +166,9 @@ def test_criterion_04_balanced_select_conformance():
         size = int(rng.integers(1, 40))
         seq = [Ideology(int(x)) for x in rng.integers(0, 3, size)]
         k = int(rng.integers(0, 13))
-        ranked = [RankedEntry(f"e{i}", 1.0, 1.0) for i in range(size)]
+        ids = [f"e{i}" for i in range(size)]
         label_map = {f"e{i}": lab for i, lab in enumerate(seq)}
-        result = balanced_select(QueryOrdering("q", ranked), label_map, k)
+        result = balanced_select(QueryOrdering("q", ids, np.ones(size), np.ones(size)), label_map, k)
 
         quota = -(-k // 3)
         members = result.members

@@ -88,6 +88,13 @@ class TestPipeline:
         effective = json.loads((out / "effective_config.json").read_text(encoding="utf-8"))
         assert effective["k"] == 4
 
+    def test_run_eval_returns_the_report_it_wrote(self, corpus_files, tmp_path):
+        train_path, test_path = corpus_files
+        out = tmp_path / "run"
+        run_pipeline(train_path, test_path, out)
+        report = cli.run_eval(RunConfig(seed=3, out=str(out)), out / "predictions.jsonl")
+        assert report.to_json_dict() == json.loads((out / "report.json").read_text(encoding="utf-8"))
+
     def test_ingest_validates_and_labels(self, tmp_path):
         data = tmp_path / "raw.jsonl"
         data.write_text(
@@ -315,6 +322,13 @@ class TestOneLoadPerRun:
         assert max(alive) <= 1
 
 
+EMBEDDING_RECORD = {"id": "a", "fields_hash": "fh", "dim": 4, "tokens": [[1, 0, 0, 0]], "sentence": [1, 0, 0, 0]}
+BAD_EMBEDDING_LINES = [('{"id": "a", "dim', "malformed JSON"), ("[1, 2]", "expected a JSON object")] + [
+    (json.dumps({k: v for k, v in EMBEDDING_RECORD.items() if k != key}), f"missing {key}")
+    for key in EMBEDDING_RECORD
+]
+
+
 class TestErrors:
     def test_fatal_error_single_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -481,6 +495,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ProviderUnreachableError: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("bad,reason", BAD_EMBEDDING_LINES, ids=[reason for _, reason in BAD_EMBEDDING_LINES])
+    def test_malformed_embedding_file_is_a_located_clean_exit(self, corpus_files, tmp_path, capsys, bad, reason):
+        train_path, _ = corpus_files
+        path = tmp_path / "emb.jsonl"
+        path.write_text(json.dumps(EMBEDDING_RECORD) + "\n" + bad + "\n", encoding="utf-8")
+        flags = base_flags(tmp_path / "out")
+        flags[flags.index("hashed")] = f"file:{path}"
+        flags[flags.index("16")] = "4"
+        code = main(["pool", "--train-dataset", str(train_path)] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: EmbeddingError: ")
+        assert len(err.strip().splitlines()) == 1
+        assert f"{path}: line 2: {reason}" in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

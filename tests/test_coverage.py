@@ -9,7 +9,6 @@ from ideolab.coverage import (
     GAIN_FLOOR,
     CandidatePool,
     CoverageError,
-    QueryOrdering,
     RankedEntry,
     _bounds,
     _max_sim_matrix,
@@ -20,6 +19,7 @@ from ideolab.coverage import (
     set_coverage,
     token_max_sims,
 )
+from ideolab.selection import balanced_select
 
 from conftest import make_embedding
 from reference import (
@@ -573,31 +573,36 @@ class TestChunkedOrdering:
             assert [r.cumulative_coverage for r in got] == cum
 
 
-class TestLazyRanking:
-    def test_matches_eager_list_from_same_arrays(self):
+class TestOrderingArrays:
+    @pytest.fixture
+    def case(self):
         rng = np.random.default_rng(71)
-        n = 300  # iteration converts the arrays in blocks of 128
-        items = labeled_items(n)
+        items = labeled_items(300)
         emb = {it.id: make_embedding(it.id, random_token_set(rng, 6, max_tokens=4)) for it in items}
         query = make_embedding("q", random_token_set(rng, 6, max_tokens=4))
-        pool = build_candidate_pool(items, emb, n=n, probe_size=50, seed=0)
+        pool = build_candidate_pool(items, emb, n=300, probe_size=50, seed=0)
+        return query, pool, emb
+
+    def test_ranked_is_built_from_the_arrays(self, case):
+        query, pool, emb = case
         ordering = order_for_query(query, pool, emb)
-        ranked = ordering.ranked
-        eager = [
-            RankedEntry(pool.ids()[j], gain, cov)
-            for j, gain, cov in zip(ranked._order.tolist(), ranked._gains.tolist(), ranked._coverage.tolist())
+        assert sorted(ordering.item_ids) == sorted(pool.ids())
+        assert ordering.ranked == [
+            RankedEntry(item_id, gain, cov)
+            for item_id, gain, cov in zip(ordering.item_ids, ordering.gains, ordering.coverage)
         ]
-        assert len(ranked) == len(eager) == n
-        assert [ranked[i] for i in range(-n, n)] == eager + eager
-        assert ranked[-1] == eager[-1]
-        for a, b, step in [(0, n, 1), (3, 9, 1), (120, 140, 1), (-5, None, 1), (None, None, -1), (2, 200, 3), (9, 3, 1)]:
-            assert ranked[a:b:step] == eager[a:b:step]
-        assert list(ranked) == eager
-        assert ranked == eager
-        assert ordering == QueryOrdering(query.item_id, eager)
-        with pytest.raises(IndexError):
-            ranked[n]
-        with pytest.raises(TypeError):
-            ranked[0] = eager[1]
-        with pytest.raises(TypeError):
-            del ranked[0]
+        with pytest.raises(AttributeError):
+            ordering.ranked = []
+
+    def test_balanced_select_builds_no_ranked_entry(self, case, monkeypatch):
+        query, pool, emb = case
+
+        def refuse(*args):
+            raise AssertionError("RankedEntry built")
+
+        monkeypatch.setattr(coverage, "RankedEntry", refuse)
+        ordering = order_for_query(query, pool, emb)
+        result = balanced_select(ordering, {e.item_id: e.label for e in pool.entries}, 8)
+        assert len(result.members) == 8
+        for demo in result.members + result.skipped:
+            assert ordering.item_ids[demo.rank - 1] == demo.item_id

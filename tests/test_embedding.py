@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import time
@@ -447,6 +448,12 @@ class TestPrecomputedFile:
             embed_item(item("other"), TITLE, provider)
 
 
+REPLY = {"dim": 4, "tokens": [[1, 0, 0, 0]], "sentence": [1, 0, 0, 0]}
+BAD_REPLIES = [(b"[1, 2]", "expected a JSON object")] + [
+    (json.dumps({k: v for k, v in REPLY.items() if k != key}).encode(), f"missing {key}") for key in REPLY
+]
+
+
 class TestHttpProvider:
     @pytest.fixture
     def embed_endpoint(self):
@@ -457,7 +464,8 @@ class TestHttpProvider:
         requests_seen = []
         # answered, in order, before the first 200: (status, headers), or
         # "truncated" for a 200 whose body stops short of its Content-Length,
-        # or "notjson" for a 200 whose body is not JSON
+        # or "notjson" for a 200 whose body is not JSON, or bytes for a 200
+        # with that body
         failures = []
 
         class Handler(BaseHTTPRequestHandler):
@@ -479,6 +487,8 @@ class TestHttpProvider:
                 ).encode()
                 if failure == "notjson":
                     payload = b"<html>upstream error</html>"
+                elif isinstance(failure, bytes):
+                    payload = failure
                 self.send_response(200)
                 self.send_header("Content-Length", str(len(payload) + (10 if failure == "truncated" else 0)))
                 self.end_headers()
@@ -520,6 +530,17 @@ class TestHttpProvider:
         sleeps = []
         monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
         with pytest.raises(ValueError):
+            HttpProvider(url, dim=4).fetch("a", "fh", "text")
+        assert len(seen) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("reply,reason", BAD_REPLIES, ids=[reason for _, reason in BAD_REPLIES])
+    def test_malformed_reply_is_not_retried_and_names_the_url(self, embed_endpoint, monkeypatch, reply, reason):
+        url, seen, failures = embed_endpoint
+        failures.append(reply)
+        sleeps = []
+        monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
+        with pytest.raises(EmbeddingError, match=re.escape(f"{url}: reply for 'a': {reason}")):
             HttpProvider(url, dim=4).fetch("a", "fh", "text")
         assert len(seen) == 1
         assert sleeps == []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ideolab.corpus import Ideology
-from ideolab.coverage import CandidatePool, PoolEntry, QueryOrdering, RankedEntry
+from ideolab.coverage import CandidatePool, PoolEntry, QueryOrdering
 from ideolab.selection import (
     SelectionError,
     balanced_select,
@@ -17,13 +17,10 @@ def make_ordering(labels, scores=None):
     """Ordering whose entries are labeled by position; ids are e0, e1, ..."""
     if scores is None:
         scores = [float(len(labels) - i) for i in range(len(labels))]
-    ranked = []
-    cum = -1.0
-    for i, score in enumerate(scores):
-        cum = max(cum, score)
-        ranked.append(RankedEntry(f"e{i}", score, cum))
+    ids = [f"e{i}" for i in range(len(scores))]
+    cum = np.maximum.accumulate(np.array([-1.0, *scores]))[1:]
     label_map = {f"e{i}": lab for i, lab in enumerate(labels)}
-    return QueryOrdering(query_id="q", ranked=ranked), label_map
+    return QueryOrdering("q", ids, np.array(scores, dtype=float), cum), label_map
 
 
 def make_pool(labels):
@@ -71,7 +68,7 @@ class TestBalancedSelect:
 
     def test_empty_ordering_with_positive_k(self):
         with pytest.raises(SelectionError):
-            balanced_select(QueryOrdering("q", []), {}, 2)
+            balanced_select(QueryOrdering("q", [], np.empty(0), np.empty(0)), {}, 2)
 
     def test_missing_label(self):
         ordering, labels = make_ordering([L, N])
