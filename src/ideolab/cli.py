@@ -179,17 +179,16 @@ def _load(cfg: RunConfig, ks: list[int]):
     return queries, train, pool
 
 
-def _select(cfg: RunConfig, queries, train, pool, fields: FieldConfig, ks: list[int]):
+def _select(cfg: RunConfig, queries, train, pool, fields: FieldConfig, ks: list[int], provider, cache):
     """Each query's demonstrations for every k in ``ks``: k -> one
     DemonstrationSet per query, in query order.
 
     Orderings do not depend on k, so each query is ordered once and every
-    k selects from that ordering before the next query is ordered.
+    k selects from that ordering before the next query is ordered. Queries
+    are ordered only when ``provider`` is given and some k > 0.
     """
-    ordered = cfg.select == "balanced" and max(ks) > 0
+    ordered = provider is not None and max(ks) > 0
     if ordered:
-        provider = load_provider(cfg.embed_provider, cfg.embed_dim)
-        cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
         pool_embeddings = embed_many([train[i] for i in pool.ids()], fields, provider, cache)
         query_embeddings = embed_many(queries, fields, provider, cache)
         labels = pool.labels()
@@ -248,12 +247,18 @@ def run_classify(cfg: RunConfig, queries, train, demos, dump_prompts: bool = Fal
 def _classify_cells(cfg: RunConfig, cells: list[RunConfig], dump_prompts: bool):
     """Yield (cell, predictions path) for cells that differ from ``cfg``
     only in k, fields and where they write: one load, one selection pass
-    per field configuration, then the per-cell step."""
+    per field configuration, then the per-cell step. The embedding provider
+    and cache are built once, and only when some selection is ordered."""
     queries, train, pool = _load(cfg, [cell.k for cell in cells])
+    provider = cache = None
+    if cfg.select == "balanced" and pool is not None:
+        provider = load_provider(cfg.embed_provider, cfg.embed_dim)
+        cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
     demos = {}
     for fields in dict.fromkeys(cell.fields for cell in cells):
         ks = [cell.k for cell in cells if cell.fields == fields]
-        for k, chosen in _select(cfg, queries, train, pool, FieldConfig.from_key(fields), ks).items():
+        selected = _select(cfg, queries, train, pool, FieldConfig.from_key(fields), ks, provider, cache)
+        for k, chosen in selected.items():
             demos[k, fields] = chosen
     for cell in cells:
         yield cell, run_classify(cell, queries, train, demos.pop((cell.k, cell.fields)), dump_prompts)
@@ -353,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--dataset", help="dataset JSONL to classify/ingest")
         p.add_argument("--train-dataset", dest="train_dataset", help="training dataset JSONL")
-        p.add_argument("--label-scheme", dest="label_scheme", choices=("youtube_slant", "adfontes", "direct"))
+        p.add_argument("--label-scheme", dest="label_scheme", choices=tuple(LabelMapping.CUTOFFS))
         p.add_argument("--fields", choices=FIELD_GRID)
         p.add_argument("--k", type=int)
         p.add_argument("--select", choices=("balanced", "random"))

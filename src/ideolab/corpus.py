@@ -94,35 +94,20 @@ class LabelMapping:
     lo_cutoff: float = 0.0
     hi_cutoff: float = 0.0
 
-    SCHEMES = ("youtube_slant", "adfontes", "direct")
+    # scheme -> (lo_cutoff, hi_cutoff); the one list of known schemes
+    CUTOFFS = {"youtube_slant": (-0.33, 0.33), "adfontes": (-14.0, 14.0), "direct": (0.0, 0.0)}
 
     def __post_init__(self) -> None:
-        if self.scheme not in self.SCHEMES:
+        if self.scheme not in self.CUTOFFS:
             raise ValueError(f"unknown label scheme: {self.scheme!r}")
         if self.scheme != "direct" and not self.lo_cutoff < self.hi_cutoff:
             raise ValueError("lo_cutoff must be strictly below hi_cutoff")
 
     @classmethod
-    def youtube_slant(cls) -> "LabelMapping":
-        return cls("youtube_slant", -0.33, 0.33)
-
-    @classmethod
-    def adfontes(cls) -> "LabelMapping":
-        return cls("adfontes", -14.0, 14.0)
-
-    @classmethod
-    def direct(cls) -> "LabelMapping":
-        return cls("direct")
-
-    @classmethod
     def for_scheme(cls, scheme: str) -> "LabelMapping":
-        if scheme == "youtube_slant":
-            return cls.youtube_slant()
-        if scheme == "adfontes":
-            return cls.adfontes()
-        if scheme == "direct":
-            return cls.direct()
-        raise ValueError(f"unknown label scheme: {scheme!r}")
+        if scheme not in cls.CUTOFFS:
+            raise ValueError(f"unknown label scheme: {scheme!r}")
+        return cls(scheme, *cls.CUTOFFS[scheme])
 
 
 def map_label(raw_score: float, mapping: LabelMapping) -> Ideology:

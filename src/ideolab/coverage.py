@@ -55,7 +55,13 @@ def token_max_sims(query: TokenEmbeddingSet, cand: TokenEmbeddingSet) -> np.ndar
 
 
 def bsr(query: TokenEmbeddingSet, cand: TokenEmbeddingSet) -> float:
-    """BertScore-recall of ``cand`` covering ``query``; value in [-1, 1]."""
+    """BertScore-recall of ``cand`` covering ``query``; value in [-1, 1].
+
+    Computed from this one candidate's product, so it can differ in the
+    last bit from the independent score :func:`order_for_query` computes
+    over stacked blocks of candidates; BLAS blocks the two products
+    differently. :func:`set_coverage` is computed the same way.
+    """
     return float(token_max_sims(query, cand).mean())
 
 

@@ -85,15 +85,19 @@ class TokenEmbeddingSet:
                 f"expected ({self.dim},)"
             )
         norms = np.linalg.norm(self.token_vectors, axis=1)
-        if np.any(np.abs(norms - 1.0) > NORM_TOLERANCE):
+        if not np.all(np.abs(norms - 1.0) <= NORM_TOLERANCE):  # NaN fails too
             raise EmbeddingError(f"{self.item_id}: token vectors are not L2-normalized")
 
     @classmethod
-    def from_raw(cls, item_id: str, tokens, sentence) -> "TokenEmbeddingSet":
-        """Build from possibly unnormalized vectors, normalizing locally."""
-        tokens = l2_normalize(np.atleast_2d(np.asarray(tokens, dtype=np.float64)))
-        sentence = l2_normalize(np.asarray(sentence, dtype=np.float64))
-        return cls(item_id=item_id, dim=tokens.shape[1], token_vectors=tokens, sentence_vector=sentence)
+    def from_raw(cls, item_id: str, dim: int, tokens, sentence) -> "TokenEmbeddingSet":
+        """Build from possibly unnormalized vectors, normalizing locally; the
+        constructor checks them against the expected ``dim``."""
+        try:
+            tokens = l2_normalize(np.atleast_2d(np.asarray(tokens, dtype=np.float64)))
+            sentence = l2_normalize(np.asarray(sentence, dtype=np.float64))
+        except EmbeddingError as exc:
+            raise EmbeddingError(f"{item_id}: {exc}") from None
+        return cls(item_id=item_id, dim=dim, token_vectors=tokens, sentence_vector=sentence)
 
     @property
     def n_tokens(self) -> int:
@@ -179,22 +183,41 @@ _REPLY_KEYS = ("dim", "tokens", "sentence")
 _FILE_RECORD_KEYS = ("id", "fields_hash") + _REPLY_KEYS
 
 
-def _embedding_record(text, where: str, keys: tuple[str, ...]) -> dict:
-    """One embedding record as a dict holding every one of ``keys``; a
-    malformed record raises :class:`EmbeddingError` prefixed with ``where``."""
+def _embedding_record(text, where: str, keys: tuple[str, ...], dim: int) -> dict:
+    """One embedding record: a JSON object holding every one of ``keys``,
+    whose ids are strings and whose ``dim`` is a JSON integer equal to
+    ``dim``, with ``tokens`` and ``sentence`` converted to float64 arrays.
+    A malformed record raises :class:`EmbeddingError` prefixed with ``where``.
+    """
     record = _json_object(text, where, EmbeddingError)
     missing = [key for key in keys if key not in record]
     if missing:
         raise EmbeddingError(f"{where}: missing {', '.join(missing)}")
+    not_str = [key for key in keys if key in ("id", "fields_hash") and not isinstance(record[key], str)]
+    if not_str:
+        raise EmbeddingError(f"{where}: {', '.join(not_str)} must be a string")
+    if type(record["dim"]) is not int:  # bool is an int subclass, and JSON true is no dim
+        raise EmbeddingError(f"{where}: dim must be a JSON integer, got {json.dumps(record['dim'])}")
+    if record["dim"] != dim:
+        raise DimensionMismatchError(f"{where}: declares dim {record['dim']}, provider expects {dim}")
+    for key in ("tokens", "sentence"):
+        try:
+            array = np.asarray(record[key])
+        except ValueError:  # ragged nesting
+            array = None
+        if array is None or array.dtype.kind not in "iuf":
+            raise EmbeddingError(f"{where}: {key} is not an array of numbers")
+        record[key] = array.astype(np.float64, copy=False)
     return record
 
 
 class PrecomputedFileProvider:
     """Embeddings read from a JSONL file of (id, fields_hash) records.
 
-    ``spec`` names the resolved path and a digest of the file's bytes, so a
-    file regenerated at the same path never serves the old file's cached
-    vectors.
+    Every record is checked and converted to arrays when the file is loaded,
+    so a bad line fails at once, naming the file and the line. ``spec``
+    names the resolved path and a digest of the file's bytes, so a file
+    regenerated at the same path never serves the old file's cached vectors.
     """
 
     kind = "precomputed_file"
@@ -202,37 +225,30 @@ class PrecomputedFileProvider:
     def __init__(self, path, dim: int):
         self.dim = dim
         self.path = Path(path)
-        self._records: dict[tuple[str, str], dict] = {}
+        self._vectors: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         digest = hashlib.sha256()
         with open(self.path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 digest.update(line)
                 if not line.strip():
                     continue
-                record = _embedding_record(line, f"{self.path}: line {lineno}", _FILE_RECORD_KEYS)
-                if int(record["dim"]) != dim:
-                    raise DimensionMismatchError(
-                        f"{self.path}:{lineno}: file declares dim {record['dim']}, "
-                        f"provider expects {dim}"
-                    )
-                self._records[(record["id"], record["fields_hash"])] = record
+                record = _embedding_record(line, f"{self.path}: line {lineno}", _FILE_RECORD_KEYS, dim)
+                self._vectors[record["id"], record["fields_hash"]] = (record["tokens"], record["sentence"])
         self.spec = f"file:{self.path.resolve()}:{digest.hexdigest()[:16]}"
 
     def fetch(self, item_id: str, fields_hash: str, text: str):
-        record = self._records.get((item_id, fields_hash))
-        if record is None:
+        try:
+            return self._vectors[item_id, fields_hash]
+        except KeyError:
             raise EmbeddingError(
                 f"no precomputed embedding for id={item_id!r} fields_hash={fields_hash!r}"
-            )
-        return np.asarray(record["tokens"], dtype=np.float64), np.asarray(
-            record["sentence"], dtype=np.float64
-        )
+            ) from None
 
 
 class HttpProvider:
     """Embeddings fetched from an HTTP service: POST {"text": ...}.
 
-    The response body mirrors a precomputed-file record minus the id:
+    The response body mirrors a precomputed-file record minus the ids:
     {"dim": int, "tokens": [[...], ...], "sentence": [...]}. Connections
     are kept alive in one pool that the workers of :func:`embed_many` share.
     """
@@ -255,14 +271,8 @@ class HttpProvider:
         if error is not None:
             raise ProviderUnreachableError(f"{self.url}: {error}") from error
         # a malformed reply is not retried: the same request fails again
-        body = _embedding_record(raw, f"{self.url}: reply for {item_id!r}", _REPLY_KEYS)
-        if int(body["dim"]) != self.dim:
-            raise DimensionMismatchError(
-                f"{item_id}: service returned dim {body['dim']}, expected {self.dim}"
-            )
-        return np.asarray(body["tokens"], dtype=np.float64), np.asarray(
-            body["sentence"], dtype=np.float64
-        )
+        body = _embedding_record(raw, f"{self.url}: reply for {item_id!r}", _REPLY_KEYS, self.dim)
+        return body["tokens"], body["sentence"]
 
 
 class EmbeddingCache:
@@ -327,36 +337,16 @@ class EmbeddingCache:
             os.replace(tmp, path)
 
 
-def embed_item(
-    item: ContentItem,
-    fields: FieldConfig,
-    provider,
-    cache: Optional[EmbeddingCache] = None,
-) -> TokenEmbeddingSet:
-    """Embed one item's rendered field text, consulting the cache first.
+def embed_item(item: ContentItem, fields: FieldConfig, provider) -> TokenEmbeddingSet:
+    """Fetch one item's rendered field text from the provider; no cache is
+    consulted (:func:`embed_many` is the one path through the cache).
 
     Vectors are normalized locally regardless of what the provider
     returns. Special/padding tokens are the provider's responsibility to
     exclude; none of the shipped providers emit them.
     """
-    fh = fields_hash(fields)
-    if cache is not None:
-        hit = cache.get(item.id, fh, provider)
-        if hit is not None:
-            return hit
-    text = render_fields_text(item, fields)
-    tokens, sentence = provider.fetch(item.id, fh, text)
-    tokens = np.atleast_2d(np.asarray(tokens, dtype=np.float64))
-    if tokens.shape[0] < 1 or tokens.size == 0:
-        raise EmbeddingError(f"{item.id}: provider returned no token vectors")
-    if tokens.shape[1] != provider.dim:
-        raise DimensionMismatchError(
-            f"{item.id}: provider returned dim {tokens.shape[1]}, expected {provider.dim}"
-        )
-    embedding = TokenEmbeddingSet.from_raw(item.id, tokens, sentence)
-    if cache is not None:
-        cache.put(embedding, fh, provider)
-    return embedding
+    tokens, sentence = provider.fetch(item.id, fields_hash(fields), render_fields_text(item, fields))
+    return TokenEmbeddingSet.from_raw(item.id, provider.dim, tokens, sentence)
 
 
 def embed_many(
@@ -370,11 +360,11 @@ def embed_many(
 
     The calling thread looks every item up in the cache, in input order.
     Only the misses fan out: up to ``max_workers`` threads pull them from one
-    shared iterator and fetch each through :func:`embed_item`, without the
-    cache. Each result comes back through a queue and the calling thread
-    writes it to the cache as it arrives, so a later failure never loses a
-    fetch already made. The first failure, of a fetch or of a cache write,
-    stops every worker before its next fetch and is re-raised once they exit.
+    shared iterator and fetch each through :func:`embed_item`. Each result
+    comes back through a queue and the calling thread writes it to the cache
+    as it arrives, so a later failure never loses a fetch already made. The
+    first failure, of a fetch or of a cache write, stops every worker before
+    its next fetch and is re-raised once they exit.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")

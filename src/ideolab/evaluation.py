@@ -54,19 +54,6 @@ class EvalReport:
             "query_ids": list(self.query_ids),
         }
 
-    @classmethod
-    def from_json_dict(cls, raw: dict) -> "EvalReport":
-        return cls(
-            config=raw.get("config", {}),
-            config_hash=raw.get("config_hash", ""),
-            n=int(raw["n"]),
-            accuracy=float(raw["accuracy"]),
-            ci95=tuple(raw["ci95"]),
-            confusion=np.asarray(raw["confusion"], dtype=np.int64),
-            parse_failure_count=int(raw["parse_failure_count"]),
-            query_ids=tuple(raw.get("query_ids", ())),
-        )
-
 
 def score(
     records: Sequence[PredictionRecord],

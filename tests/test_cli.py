@@ -133,22 +133,29 @@ class TestPipeline:
         assert code == 0
         assert len(list(cache_dir.iterdir())) == 45
 
-    def test_zero_shot_needs_no_pool(self, corpus_files, tmp_path):
+    def test_zero_shot_needs_no_pool(self, corpus_files, tmp_path, monkeypatch):
         _, test_path = corpus_files
         out = tmp_path / "zs"
         flags = base_flags(out)
+        built = []
+        monkeypatch.setattr(cli, "load_provider", lambda *args: built.append(args))
         code = main(
             ["classify", "--dataset", str(test_path), "--k", "0", "--mock", "fixed:neutral"] + flags
         )
         assert code == 0
+        assert built == []
         lines = (out / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 12
         assert all(json.loads(line)["pred"] == "neutral" for line in lines[1:])
 
-    def test_random_selection_mode(self, corpus_files, tmp_path):
+    def test_random_selection_mode(self, corpus_files, tmp_path, monkeypatch):
         train_path, test_path = corpus_files
         out = tmp_path / "rand"
+        built = []
+        load_provider = cli.load_provider
+        monkeypatch.setattr(cli, "load_provider", lambda *args: built.append(args) or load_provider(*args))
         run_pipeline(train_path, test_path, out, select="random")
+        assert len(built) == 1  # the pool command's; random selection embeds nothing
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert 0.0 <= report["accuracy"] <= 1.0
 
@@ -273,7 +280,7 @@ class TestOneLoadPerRun:
         train_path, test_path = corpus_files
         out = tmp_path / "grid"
         assert main(["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + base_flags(out)) == 0
-        calls = {"load": 0, "order": 0, "fetch": []}
+        calls = {"load": 0, "order": 0, "provider": 0, "fetch": []}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -290,10 +297,12 @@ class TestOneLoadPerRun:
 
         monkeypatch.setattr(cli, "load_dataset", counted("load", cli.load_dataset))
         monkeypatch.setattr(cli, "order_for_query", counted("order", cli.order_for_query))
+        monkeypatch.setattr(cli, "load_provider", counted("provider", cli.load_provider))
         monkeypatch.setattr(HashedProvider, "fetch", counted_fetch)
         assert main(ablate_flags(train_path, test_path, out)) == 0
         assert calls["load"] == 2
         assert calls["order"] == len(FIELD_GRID) * 12
+        assert calls["provider"] == 1
         assert len(calls["fetch"]) == len(FIELD_GRID) * (24 + 12)
 
     @pytest.mark.parametrize("command", ["classify", "ablate"])
@@ -326,6 +335,18 @@ EMBEDDING_RECORD = {"id": "a", "fields_hash": "fh", "dim": 4, "tokens": [[1, 0, 
 BAD_EMBEDDING_LINES = [('{"id": "a", "dim', "malformed JSON"), ("[1, 2]", "expected a JSON object")] + [
     (json.dumps({k: v for k, v in EMBEDDING_RECORD.items() if k != key}), f"missing {key}")
     for key in EMBEDDING_RECORD
+] + [
+    (json.dumps(dict(EMBEDDING_RECORD, **{key: value})), reason)
+    for key, value, reason in [
+        ("id", ["a"], "id must be a string"),
+        ("fields_hash", 7, "fields_hash must be a string"),
+        ("dim", None, "dim must be a JSON integer, got null"),
+        ("dim", 4.7, "dim must be a JSON integer, got 4.7"),
+        ("dim", True, "dim must be a JSON integer, got true"),
+        ("dim", "4", 'dim must be a JSON integer, got "4"'),
+        ("tokens", [[1, 0, 0, 0], [1, 0]], "tokens is not an array of numbers"),
+        ("sentence", [1, "x", 0, 0], "sentence is not an array of numbers"),
+    ]
 ]
 
 

@@ -18,8 +18,8 @@ from ideolab.corpus import (
     write_dataset,
 )
 
-YT = LabelMapping.youtube_slant()
-AF = LabelMapping.adfontes()
+YT = LabelMapping.for_scheme("youtube_slant")
+AF = LabelMapping.for_scheme("adfontes")
 
 
 class TestMapLabel:
@@ -46,7 +46,11 @@ class TestMapLabel:
 
     def test_direct_scheme_rejected(self):
         with pytest.raises(ValueError):
-            map_label(0.0, LabelMapping.direct())
+            map_label(0.0, LabelMapping.for_scheme("direct"))
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown label scheme: 'nope'"):
+            LabelMapping.for_scheme("nope")
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     def test_monotone(self, a, b):
@@ -119,7 +123,7 @@ class TestLoadDataset:
             tmp_path,
             ['{"id":"a","title":"t","label":"neutral","flags":{"political":true,"news_channel":false}}'],
         )
-        item = load_dataset(path, LabelMapping.direct())[0]
+        item = load_dataset(path, LabelMapping.for_scheme("direct"))[0]
         assert item.political is True
         assert item.news_channel is False
 
@@ -130,7 +134,7 @@ class TestLoadDataset:
         ]
         out = tmp_path / "rt.jsonl"
         write_dataset(items, out)
-        loaded = load_dataset(out, LabelMapping.direct())
+        loaded = load_dataset(out, LabelMapping.for_scheme("direct"))
         assert [it.id for it in loaded] == [it.id for it in items]
         assert [it.label for it in loaded] == [it.label for it in items]
 

@@ -50,12 +50,16 @@ class TestTokenEmbeddingSet:
         with pytest.raises(EmbeddingError):
             TokenEmbeddingSet("x", 2, np.array([[2.0, 0.0]]), np.array([1.0, 0.0]))
 
+    def test_rejects_nan_rows(self):
+        with pytest.raises(EmbeddingError, match="not L2-normalized"):
+            TokenEmbeddingSet.from_raw("x", 2, [[np.nan, 1.0]], [1.0, 0.0])
+
     def test_rejects_empty_tokens(self):
         with pytest.raises(EmbeddingError):
             TokenEmbeddingSet("x", 2, np.zeros((0, 2)), np.array([1.0, 0.0]))
 
     def test_from_raw_normalizes(self):
-        ts = TokenEmbeddingSet.from_raw("x", [[2.0, 0.0], [0.0, -3.0]], [1.0, 1.0])
+        ts = TokenEmbeddingSet.from_raw("x", 2, [[2.0, 0.0], [0.0, -3.0]], [1.0, 1.0])
         assert np.allclose(np.linalg.norm(ts.token_vectors, axis=1), 1.0, atol=1e-12)
         assert np.allclose(np.linalg.norm(ts.sentence_vector), 1.0, atol=1e-12)
 
@@ -89,6 +93,13 @@ class TestEmbedItem:
         provider = StubProvider([[1.0, 0.0]], [1.0, 0.0], dim=3)
         with pytest.raises(DimensionMismatchError):
             embed_item(item(), TITLE, provider)
+
+    @pytest.mark.parametrize(
+        "tokens, sentence", [([], [1.0, 0.0]), (np.zeros((0, 2)), [1.0, 0.0]), ([[1.0, 0.0]], [0.0, 0.0])]
+    )
+    def test_unusable_provider_output_names_the_item(self, tokens, sentence):
+        with pytest.raises(EmbeddingError, match="^a: "):
+            embed_item(item(), TITLE, StubProvider(tokens, sentence, dim=2))
 
     def test_embed_many_covers_all_items(self):
         items = [item(f"i{n}", f"title {n} words") for n in range(9)]
@@ -252,7 +263,7 @@ class TestCache:
     def test_round_trip_within_1e6(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         provider = HashedProvider(dim=32)
-        original = embed_item(item(), TITLE, provider, cache)
+        original = embed_many([item()], TITLE, provider, cache)["a"]
         cached = cache.get("a", fields_hash(TITLE), provider)
         assert cached is not None
         assert np.max(np.abs(cached.token_vectors - original.token_vectors)) <= 1e-6
@@ -261,7 +272,7 @@ class TestCache:
     def test_round_trip_bit_exact(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         provider = HashedProvider(dim=32)
-        original = embed_item(item(), TITLE, provider, cache)
+        original = embed_many([item()], TITLE, provider, cache)["a"]
         cached = cache.get("a", fields_hash(TITLE), provider)
         assert np.array_equal(cached.token_vectors, original.token_vectors)
         assert np.array_equal(cached.sentence_vector, original.sentence_vector)
@@ -272,7 +283,7 @@ class TestCache:
     def test_corrupt_entry_evicted(self, tmp_path, caplog):
         cache = EmbeddingCache(tmp_path)
         provider = HashedProvider(dim=8)
-        embed_item(item(), TITLE, provider, cache)
+        embed_many([item()], TITLE, provider, cache)
         (path,) = list(tmp_path.iterdir())
         path.write_bytes(path.read_bytes()[:40])
         with caplog.at_level("WARNING"):
@@ -293,10 +304,10 @@ class TestCache:
     def test_bad_entry_evicted(self, tmp_path, caplog, corrupt, reason):
         cache = EmbeddingCache(tmp_path)
         provider = HashedProvider(dim=8)
-        embed_item(item(), TITLE, provider, cache)
+        embed_many([item()], TITLE, provider, cache)
         (path,) = list(tmp_path.iterdir())
         other_dir = tmp_path / "other"
-        embed_item(item("b", "budget vote passes"), TITLE, provider, EmbeddingCache(other_dir))
+        embed_many([item("b", "budget vote passes")], TITLE, provider, EmbeddingCache(other_dir))
         (other,) = list(other_dir.iterdir())
         path.write_bytes(corrupt(path.read_bytes(), other.read_bytes()))
         with caplog.at_level("WARNING"):
@@ -308,14 +319,14 @@ class TestCache:
     def test_no_cross_config_contamination(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         provider = HashedProvider(dim=8)
-        embed_item(item(), TITLE, provider, cache)
+        embed_many([item()], TITLE, provider, cache)
         assert cache.get("a", fields_hash(TITLE_SOURCE), provider) is None
 
     def test_bsr_from_cache_matches_fresh(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         provider = HashedProvider(dim=16)
         q_fresh = embed_item(item("q", "alpha beta gamma"), TITLE, provider)
-        d_fresh = embed_item(item("d", "beta gamma delta"), TITLE, provider, cache)
+        d_fresh = embed_many([item("d", "beta gamma delta")], TITLE, provider, cache)["d"]
         d_cached = cache.get("d", fields_hash(TITLE), provider)
         assert abs(bsr(q_fresh, d_cached) - bsr(q_fresh, d_fresh)) <= 1e-5
 
@@ -369,13 +380,13 @@ class TestCacheKnowsProvider:
         assert all(np.array_equal(again[i].token_vectors, out[i].token_vectors) for i in out)
 
     def test_other_provider_of_same_dim_refetches(self, tmp_path, monkeypatch):
-        ts = TokenEmbeddingSet.from_raw("a", np.eye(4)[:2], np.eye(4)[0])
+        ts = TokenEmbeddingSet.from_raw("a", 4, np.eye(4)[:2], np.eye(4)[0])
         path = tmp_path / "emb.jsonl"
         path.write_text(json.dumps(ts.to_record(fields_hash(TITLE))) + "\n", encoding="utf-8")
         cache = EmbeddingCache(tmp_path / "cache")
-        hashed = embed_item(item(), TITLE, HashedProvider(dim=4), cache)
+        hashed = embed_many([item()], TITLE, HashedProvider(dim=4), cache)["a"]
         fetched = self.fetch_counting(monkeypatch, PrecomputedFileProvider)
-        got = embed_item(item(), TITLE, PrecomputedFileProvider(path, dim=4), cache)
+        got = embed_many([item()], TITLE, PrecomputedFileProvider(path, dim=4), cache)["a"]
         assert fetched == ["a"]
         assert np.array_equal(got.token_vectors, ts.token_vectors)
         assert not np.array_equal(got.token_vectors, hashed.token_vectors)
@@ -385,30 +396,30 @@ class TestCacheKnowsProvider:
         cache = EmbeddingCache(tmp_path / "cache")
 
         def write(vector):
-            ts = TokenEmbeddingSet.from_raw("a", [vector], vector)
+            ts = TokenEmbeddingSet.from_raw("a", 4, [vector], vector)
             path.write_text(json.dumps(ts.to_record(fields_hash(TITLE))) + "\n", encoding="utf-8")
 
         write([1.0, 0.0, 0.0, 0.0])
-        embed_item(item(), TITLE, PrecomputedFileProvider(path, dim=4), cache)
+        embed_many([item()], TITLE, PrecomputedFileProvider(path, dim=4), cache)
         write([0.0, 1.0, 0.0, 0.0])
-        got = embed_item(item(), TITLE, PrecomputedFileProvider(path, dim=4), cache)
+        got = embed_many([item()], TITLE, PrecomputedFileProvider(path, dim=4), cache)["a"]
         assert np.array_equal(got.token_vectors, [[0.0, 1.0, 0.0, 0.0]])
 
     def test_entry_without_provider_in_its_name_is_a_miss(self, tmp_path, monkeypatch):
         cache = EmbeddingCache(tmp_path)
         provider = HashedProvider(dim=8)
-        embed_item(item(), TITLE, provider, cache)
+        embed_many([item()], TITLE, provider, cache)
         (path,) = list(tmp_path.iterdir())
         # the file name an entry had before the provider joined the key
         path.rename(path.with_name(path.name.rsplit("-", 1)[0] + ".json"))
         fetched = self.fetch_counting(monkeypatch, HashedProvider)
-        embed_item(item(), TITLE, provider, cache)
+        embed_many([item()], TITLE, provider, cache)
         assert fetched == ["a"]
 
     def test_old_json_entry_is_an_untouched_miss(self, tmp_path, monkeypatch):
         cache = EmbeddingCache(tmp_path)
         provider = HashedProvider(dim=8)
-        original = embed_item(item(), TITLE, provider, cache)
+        original = embed_many([item()], TITLE, provider, cache)["a"]
         (path,) = list(tmp_path.iterdir())
         path.unlink()
         # a valid entry of the JSON-text format, under its old file name
@@ -417,13 +428,13 @@ class TestCacheKnowsProvider:
         before = old.read_bytes()
         assert cache.get("a", fields_hash(TITLE), provider) is None
         fetched = self.fetch_counting(monkeypatch, HashedProvider)
-        embed_item(item(), TITLE, provider, cache)
+        embed_many([item()], TITLE, provider, cache)
         assert fetched == ["a"]
         assert old.read_bytes() == before
 
 class TestPrecomputedFile:
     def write_file(self, tmp_path, dim=4, declared=None):
-        ts = TokenEmbeddingSet.from_raw("a", np.eye(dim)[:2], np.eye(dim)[0])
+        ts = TokenEmbeddingSet.from_raw("a", dim, np.eye(dim)[:2], np.eye(dim)[0])
         record = ts.to_record(fields_hash(TITLE))
         record["dim"] = declared or dim
         path = tmp_path / "emb.jsonl"
@@ -451,6 +462,16 @@ class TestPrecomputedFile:
 REPLY = {"dim": 4, "tokens": [[1, 0, 0, 0]], "sentence": [1, 0, 0, 0]}
 BAD_REPLIES = [(b"[1, 2]", "expected a JSON object")] + [
     (json.dumps({k: v for k, v in REPLY.items() if k != key}).encode(), f"missing {key}") for key in REPLY
+] + [
+    (json.dumps(dict(REPLY, **{key: value})).encode(), reason)
+    for key, value, reason in [
+        ("dim", None, "dim must be a JSON integer, got null"),
+        ("dim", 4.7, "dim must be a JSON integer, got 4.7"),
+        ("dim", True, "dim must be a JSON integer, got true"),
+        ("dim", "4", 'dim must be a JSON integer, got "4"'),
+        ("tokens", [[1, 0, 0, 0], [1, 0]], "tokens is not an array of numbers"),
+        ("sentence", [1, "x", 0, 0], "sentence is not an array of numbers"),
+    ]
 ]
 
 
@@ -481,7 +502,7 @@ class TestHttpProvider:
                     self.send_header("Content-Length", "0")
                     self.end_headers()
                     return
-                ts = TokenEmbeddingSet.from_raw("x", np.eye(4)[:2], np.eye(4)[0])
+                ts = TokenEmbeddingSet.from_raw("x", 4, np.eye(4)[:2], np.eye(4)[0])
                 payload = json_module.dumps(
                     {"dim": 4, "tokens": ts.token_vectors.tolist(), "sentence": ts.sentence_vector.tolist()}
                 ).encode()

@@ -11,7 +11,6 @@ from scipy import stats
 
 from ideolab.corpus import Ideology
 from ideolab.evaluation import (
-    EvalReport,
     EvaluationError,
     MLPHyper,
     delta,
@@ -132,13 +131,6 @@ class TestScore:
     def test_missing_gold_rejected(self):
         with pytest.raises(EvaluationError):
             score([make_record("a", None, L)])
-
-    def test_report_json_round_trip(self):
-        report = score(records_from_pattern([L, N], [L, N]), bootstrap_resamples=10)
-        again = EvalReport.from_json_dict(report.to_json_dict())
-        assert again.accuracy == report.accuracy
-        assert np.array_equal(again.confusion, report.confusion)
-        assert again.query_ids == report.query_ids
 
 
 class TestDelta:
