@@ -209,10 +209,10 @@ def _select(cfg: RunConfig, queries, train, pool, fields: FieldConfig, ks: list[
     return demos
 
 
-def run_classify(cfg: RunConfig, queries, train, demos, dump_prompts: bool = False) -> Path:
+def run_classify(cfg: RunConfig, queries, train, demos, llm, dump_prompts: bool = False) -> Path:
     """One cell: prompt -> LLM (or mock) -> predictions, given the queries,
-    the training items by id and one DemonstrationSet per query; returns
-    the predictions path."""
+    the training items by id, one DemonstrationSet per query and the LLM
+    callable; returns the predictions path."""
     out = _out_dir(cfg)
     config_hash = cfg.config_hash
     fields = FieldConfig.from_key(cfg.fields)
@@ -221,9 +221,7 @@ def run_classify(cfg: RunConfig, queries, train, demos, dump_prompts: bool = Fal
         for item, chosen in zip(queries, demos)
     ]
 
-    llm_cfg = _llm_config(cfg)
-    llm = mock_from_spec(cfg.mock) if cfg.mock else ChatCompletionsClient(llm_cfg)
-    records = classify_batch(tasks, llm_cfg, llm, config_hash=config_hash)
+    records = classify_batch(tasks, _llm_config(cfg), llm, config_hash=config_hash)
 
     header = {"kind": "predictions", "config": cfg.hashed_dict(), "config_hash": config_hash}
     predictions_path = out / "predictions.jsonl"
@@ -248,7 +246,8 @@ def _classify_cells(cfg: RunConfig, cells: list[RunConfig], dump_prompts: bool):
     """Yield (cell, predictions path) for cells that differ from ``cfg``
     only in k, fields and where they write: one load, one selection pass
     per field configuration, then the per-cell step. The embedding provider
-    and cache are built once, and only when some selection is ordered."""
+    and cache are built once, and only when some selection is ordered. The
+    LLM callable is built once; a client is closed when the run ends."""
     queries, train, pool = _load(cfg, [cell.k for cell in cells])
     provider = cache = None
     if cfg.select == "balanced" and pool is not None:
@@ -260,8 +259,13 @@ def _classify_cells(cfg: RunConfig, cells: list[RunConfig], dump_prompts: bool):
         selected = _select(cfg, queries, train, pool, FieldConfig.from_key(fields), ks, provider, cache)
         for k, chosen in selected.items():
             demos[k, fields] = chosen
-    for cell in cells:
-        yield cell, run_classify(cell, queries, train, demos.pop((cell.k, cell.fields)), dump_prompts)
+    llm = mock_from_spec(cfg.mock) if cfg.mock else ChatCompletionsClient(_llm_config(cfg))
+    try:
+        for cell in cells:
+            yield cell, run_classify(cell, queries, train, demos.pop((cell.k, cell.fields)), llm, dump_prompts)
+    finally:
+        if not cfg.mock:
+            llm.close()
 
 
 def cmd_classify(cfg: RunConfig, dump_prompts: bool = False) -> int:

@@ -15,6 +15,9 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
+from pathlib import Path
+
+from .corpus import _json_object
 
 HASH_EXCLUDED_FIELDS = ("out", "cache_dir", "max_in_flight", "timeout")
 
@@ -47,6 +50,15 @@ class RunConfig:
     bootstrap_resamples: int = 1000
     out: str = "runs"
 
+    def __post_init__(self) -> None:
+        # each value has its default's type: an int stands for a float and is
+        # kept as given, a bool is never a number and None is never a value
+        for field in dataclasses.fields(self):
+            value, default = getattr(self, field.name), field.default
+            kinds = (int, float) if type(default) is float else type(default)
+            if not isinstance(value, kinds) or isinstance(value, bool) != isinstance(default, bool):
+                raise ValueError(f"config key {field.name!r} must be {type(default).__name__}, got {value!r}")
+
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -63,9 +75,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls.from_dict(raw)
+        return cls.from_dict(_json_object(Path(path).read_text(encoding="utf-8"), str(path), ValueError))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -78,9 +88,5 @@ class RunConfig:
     def merged(self, overrides: dict) -> "RunConfig":
         """New config with non-None override values applied."""
         values = self.to_json_dict()
-        for key, value in overrides.items():
-            if value is not None:
-                if key not in values:
-                    raise ValueError(f"unknown config key: {key}")
-                values[key] = value
-        return RunConfig(**values)
+        values.update((key, value) for key, value in overrides.items() if value is not None)
+        return self.from_dict(values)

@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .corpus import ContentItem, _json_object
-from .llm import _ConnectionPool, _post, _retry
+from .llm import _ConnectionPool, _retry
 from .prompting import FieldConfig, render_fields_text
 
 logger = logging.getLogger(__name__)
@@ -62,7 +62,7 @@ def l2_normalize(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TokenEmbeddingSet:
-    """Per-item L2-normalized token vectors plus one sentence vector."""
+    """Per-item token vectors plus one sentence vector, every one L2-normalized."""
 
     item_id: str
     dim: int
@@ -87,6 +87,8 @@ class TokenEmbeddingSet:
         norms = np.linalg.norm(self.token_vectors, axis=1)
         if not np.all(np.abs(norms - 1.0) <= NORM_TOLERANCE):  # NaN fails too
             raise EmbeddingError(f"{self.item_id}: token vectors are not L2-normalized")
+        if not abs(np.linalg.norm(self.sentence_vector) - 1.0) <= NORM_TOLERANCE:
+            raise EmbeddingError(f"{self.item_id}: sentence vector is not L2-normalized")
 
     @classmethod
     def from_raw(cls, item_id: str, dim: int, tokens, sentence) -> "TokenEmbeddingSet":
@@ -259,15 +261,11 @@ class HttpProvider:
         self.url = url
         self.spec = url
         self.dim = dim
-        self.timeout = timeout
         self.retries = retries
-        self._pool = _ConnectionPool()
+        self._pool = _ConnectionPool(url, timeout)
 
     def fetch(self, item_id: str, fields_hash: str, text: str):
-        def post():
-            return _post(self._pool, self.url, {"text": text}, self.timeout)
-
-        raw, _, error = _retry(post, self.retries, time.sleep)
+        raw, _, error = _retry(lambda: self._pool.post({"text": text}), self.retries, time.sleep)
         if error is not None:
             raise ProviderUnreachableError(f"{self.url}: {error}") from error
         # a malformed reply is not retried: the same request fails again

@@ -64,6 +64,8 @@ def score(
     """Accuracy, seeded percentile-bootstrap 95% CI, and confusion matrix."""
     if not records:
         raise EvaluationError("cannot score an empty record list")
+    if bootstrap_resamples < 1:
+        raise EvaluationError(f"bootstrap_resamples must be at least 1, got {bootstrap_resamples}")
     hashes = {r.config_hash for r in records}
     if len(hashes) > 1:
         raise EvaluationError(f"records mix config hashes: {sorted(hashes)}")

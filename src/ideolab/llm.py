@@ -9,6 +9,7 @@ of request completion order.
 from __future__ import annotations
 
 import base64
+import functools
 import http.client
 import json
 import logging
@@ -239,43 +240,92 @@ def _dropped(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
-class _ConnectionPool:
-    """Keep-alive ``http.client`` connections shared by the threads of one client.
+def _proxy_auth(proxy: urllib.parse.SplitResult) -> dict:
+    if proxy.username is None:
+        return {}
+    user = urllib.parse.unquote(proxy.username)
+    password = urllib.parse.unquote(proxy.password or "")
+    token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+    return {"Proxy-Authorization": f"Basic {token}"}
 
-    Idle connections wait per (scheme, host, port) behind one lock. A request
-    takes an idle connection or opens one, so no more are open than requests
-    were ever in flight at once. A connection goes back only after its whole
+
+def _ssl_context(cafile: Optional[str]) -> ssl.SSLContext:
+    try:
+        if cafile and os.path.isdir(cafile):
+            return ssl.create_default_context(capath=cafile)
+        return ssl.create_default_context(cafile=cafile)
+    except (OSError, ssl.SSLError) as exc:
+        raise TransportError(f"request failed: CA bundle {cafile!r}: {exc}", retryable=False) from exc
+
+
+_JSON_HEADERS = {"Content-Type": "application/json", "User-Agent": "ideolab"}
+
+
+class _ConnectionPool:
+    """Keep-alive ``http.client`` connections to one URL, shared by the threads of one client.
+
+    Idle connections wait in one list behind one lock. A request takes an
+    idle connection or opens one, so no more are open than requests were
+    ever in flight at once. A connection goes back only after its whole
     body was read; on any error it is closed. An idle connection the server
     has closed is replaced before use, so a connection that timed out while
-    idle costs no retry. Proxies (``HTTP(S)_PROXY``, ``NO_PROXY``) and the CA bundle
-    (``REQUESTS_CA_BUNDLE``, then ``CURL_CA_BUNDLE``) are read from the
-    environment when the pool is made.
+    idle costs no retry. Proxies (``HTTP(S)_PROXY``, ``NO_PROXY``) and the
+    CA bundle (``REQUESTS_CA_BUNDLE``, then ``CURL_CA_BUNDLE``) are read
+    from the environment when the pool is made. The URL's host, port, path
+    and proxy bypass, and the https SSL context, are worked out on the
+    first request and kept; a malformed URL or a CA bundle that does not
+    load is never kept, so it fails every request.
     """
 
-    def __init__(self):
+    def __init__(self, url: str, timeout: float):
+        self.url = url
+        self.timeout = timeout
         self._lock = threading.Lock()
-        self._idle: dict[tuple[str, str, int], list[http.client.HTTPConnection]] = {}
+        self._idle: list[http.client.HTTPConnection] = []
         self._proxies = urllib.request.getproxies()
-        self._routes: dict[tuple[str, str, int], Optional[urllib.parse.SplitResult]] = {}
         self._cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-        self._context: Optional[ssl.SSLContext] = None
+        self._resolved: Optional[tuple[str, dict, Callable[[], http.client.HTTPConnection]]] = None
 
-    def post(self, url: str, body: bytes, headers: dict, timeout: float) -> tuple[int, http.client.HTTPMessage, bytes]:
-        """POST once; return the status, headers and whole body of the reply."""
-        scheme, host, port, path = _split_url(url)
-        key = (scheme, host, port)
-        proxy = self._proxy(key)
-        conn = self._take(key)
-        if conn is None:
-            conn = self._connect(key, proxy, timeout)
-        elif conn.timeout != timeout:
-            conn.timeout = timeout
-            conn.sock.settimeout(timeout)
-        if proxy is not None and scheme == "http":
-            path = url.partition("#")[0]  # a plain-http proxy takes the absolute URL
-            headers = {**headers, **self._proxy_auth(proxy)}
+    def post(self, payload, headers: Optional[dict] = None) -> bytes:
+        """POST ``payload`` as JSON once; return the reply body or raise a :class:`TransportError`.
+
+        A transport failure (a socket error, a timeout, a truncated or missing
+        reply) or a 5xx is retryable, a 429 is retryable after its
+        ``Retry-After``; a malformed URL or any other 4xx is not, because the
+        same request fails again.
+        """
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         try:
-            conn.request("POST", path, body, headers)
+            status, reply_headers, data = self._exchange(body, {**_JSON_HEADERS, **(headers or {})})
+        except http.client.InvalidURL as exc:
+            raise TransportError(f"request failed: {exc}", retryable=False) from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise TransportError(f"request failed: {type(exc).__name__}: {exc}") from exc
+        if status == 429:
+            try:
+                retry_after = float(reply_headers.get("Retry-After"))
+            except (TypeError, ValueError):
+                retry_after = None
+            raise TransportError("rate limited (HTTP 429)", retry_after=retry_after)
+        if status >= 500:
+            raise TransportError(f"server error (HTTP {status})")
+        if status >= 400:
+            raise TransportError(f"request rejected (HTTP {status})", retryable=False)
+        return data
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _exchange(self, body: bytes, headers: dict) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """Send once; return the status, headers and whole body of the reply."""
+        path, route_headers, connect = self._route()
+        conn = self._take() or connect()
+        try:
+            conn.request("POST", path, body, {**headers, **route_headers})
             resp = conn.getresponse()
             data = resp.read()
         except BaseException:
@@ -285,107 +335,48 @@ class _ConnectionPool:
             conn.close()
         else:
             with self._lock:
-                self._idle.setdefault(key, []).append(conn)
+                self._idle.append(conn)
         return resp.status, resp.headers, data
 
-    def close(self) -> None:
-        """Close every idle connection."""
-        with self._lock:
-            idle, self._idle = self._idle, {}
-        for conns in idle.values():
-            for conn in conns:
-                conn.close()
-
-    def _take(self, key) -> Optional[http.client.HTTPConnection]:
+    def _take(self) -> Optional[http.client.HTTPConnection]:
         while True:
             with self._lock:
-                idle = self._idle.get(key)
-                if not idle:
+                if not self._idle:
                     return None
-                conn = idle.pop()
+                conn = self._idle.pop()
             if conn.sock is not None and not _dropped(conn.sock):
                 return conn
             conn.close()
 
-    def _proxy(self, key) -> Optional[urllib.parse.SplitResult]:
-        """The proxy for this scheme and host, or None; looked up once per key."""
-        try:
-            return self._routes[key]
-        except KeyError:
-            pass
-        scheme, host, _ = key
-        proxy = self._proxies.get(scheme)
-        route = None
-        if proxy and not urllib.request.proxy_bypass(host):
-            route = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
-        self._routes[key] = route
-        return route
-
-    @staticmethod
-    def _proxy_auth(proxy: urllib.parse.SplitResult) -> dict:
-        if proxy.username is None:
-            return {}
-        user = urllib.parse.unquote(proxy.username)
-        password = urllib.parse.unquote(proxy.password or "")
-        token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
-        return {"Proxy-Authorization": f"Basic {token}"}
-
-    def _connect(self, key, proxy, timeout: float) -> http.client.HTTPConnection:
-        scheme, host, port = key
-        if proxy is not None:
-            address = (proxy.hostname, proxy.port or _DEFAULT_PORTS.get(proxy.scheme, 80))
-        else:
-            address = (host, port)
-        if scheme == "http":
-            return http.client.HTTPConnection(*address, timeout=timeout)
-        conn = http.client.HTTPSConnection(*address, timeout=timeout, context=self._ssl_context())
-        if proxy is not None:
-            conn.set_tunnel(host, port, headers=self._proxy_auth(proxy))
-        return conn
-
-    def _ssl_context(self) -> ssl.SSLContext:
+    def _route(self) -> tuple[str, dict, Callable[[], http.client.HTTPConnection]]:
+        """The request path, the headers a plain-http proxy needs and a
+        connection factory for the URL; worked out on the first request."""
         with self._lock:
-            if self._context is None:
-                cafile = self._cafile
-                try:
-                    if cafile and os.path.isdir(cafile):
-                        self._context = ssl.create_default_context(capath=cafile)
-                    else:
-                        self._context = ssl.create_default_context(cafile=cafile)
-                except (OSError, ssl.SSLError) as exc:
-                    raise TransportError(f"request failed: CA bundle {cafile!r}: {exc}", retryable=False) from exc
-            return self._context
+            if self._resolved is not None:
+                return self._resolved
+            scheme, host, port, path = _split_url(self.url)
+            proxy = self._proxies.get(scheme)
+            if proxy and not urllib.request.proxy_bypass(host):
+                proxy = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+                address = (proxy.hostname, proxy.port or _DEFAULT_PORTS.get(proxy.scheme, 80))
+            else:
+                proxy, address = None, (host, port)
+            headers = {}
+            if scheme == "http":
+                if proxy is not None:  # a plain-http proxy takes the absolute URL
+                    path, headers = self.url.partition("#")[0], _proxy_auth(proxy)
+                connect = functools.partial(http.client.HTTPConnection, *address, timeout=self.timeout)
+            else:
+                context = _ssl_context(self._cafile)
 
+                def connect() -> http.client.HTTPConnection:
+                    conn = http.client.HTTPSConnection(*address, timeout=self.timeout, context=context)
+                    if proxy is not None:
+                        conn.set_tunnel(host, port, headers=_proxy_auth(proxy))
+                    return conn
 
-_JSON_HEADERS = {"Content-Type": "application/json", "User-Agent": "ideolab"}
-
-
-def _post(pool: _ConnectionPool, url: str, payload, timeout: float, headers: Optional[dict] = None) -> bytes:
-    """POST ``payload`` as JSON once; return the reply body or raise a :class:`TransportError`.
-
-    A transport failure (a socket error, a timeout, a truncated or missing
-    reply) or a 5xx is retryable, a 429 is retryable after its
-    ``Retry-After``; a malformed URL or any other 4xx is not, because the
-    same request fails again.
-    """
-    body = json.dumps(payload, allow_nan=False).encode("utf-8")
-    try:
-        status, reply_headers, data = pool.post(url, body, {**_JSON_HEADERS, **(headers or {})}, timeout)
-    except http.client.InvalidURL as exc:
-        raise TransportError(f"request failed: {exc}", retryable=False) from exc
-    except (OSError, http.client.HTTPException) as exc:
-        raise TransportError(f"request failed: {type(exc).__name__}: {exc}") from exc
-    if status == 429:
-        try:
-            retry_after = float(reply_headers.get("Retry-After"))
-        except (TypeError, ValueError):
-            retry_after = None
-        raise TransportError("rate limited (HTTP 429)", retry_after=retry_after)
-    if status >= 500:
-        raise TransportError(f"server error (HTTP {status})")
-    if status >= 400:
-        raise TransportError(f"request rejected (HTTP {status})", retryable=False)
-    return data
+            self._resolved = (path, headers, connect)
+            return self._resolved
 
 
 def _retry(call: Callable, max_retries: int, sleep: Callable[[float], None], attempts: int = 0):
@@ -412,28 +403,26 @@ def _retry(call: Callable, max_retries: int, sleep: Callable[[float], None], att
 
 class ChatCompletionsClient:
     """OpenAI-compatible chat-completions client (single attempt per call;
-    the retry policy lives in :func:`classify`)."""
+    the retry policy lives in :func:`classify`). The endpoint URL and the
+    timeout are resolved when the client is made, the API key on every call.
+    """
 
     def __init__(self, cfg: LLMConfig):
         self.cfg = cfg
-        self._pool = _ConnectionPool()
+        self._pool = _ConnectionPool(cfg.resolved_base_url().rstrip("/") + "/v1/chat/completions", cfg.timeout)
 
     def __call__(self, messages: list[dict], query_id: Optional[str] = None) -> str:
-        url = self.cfg.resolved_base_url().rstrip("/") + "/v1/chat/completions"
-        headers = {}
         key = self.cfg.resolved_api_key()
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        payload = {
-            "model": self.cfg.model_name,
-            "messages": messages,
-            "temperature": self.cfg.temperature,
-        }
-        body = _post(self._pool, url, payload, self.cfg.timeout, headers)
+        payload = {"model": self.cfg.model_name, "messages": messages, "temperature": self.cfg.temperature}
+        body = self._pool.post(payload, {"Authorization": f"Bearer {key}"} if key else None)
         try:
             return json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed response body: {exc}") from exc
+
+    def close(self) -> None:
+        """Close the client's idle connections; a later call opens new ones."""
+        self._pool.close()
 
 
 def fit_to_budget(prompt: RenderedPrompt, char_budget: int) -> RenderedPrompt:

@@ -1,4 +1,9 @@
+import json
+import socket
 import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -28,3 +33,99 @@ def basis():
     """First three standard basis vectors in R^4."""
     eye = np.eye(4)
     return eye[0], eye[1], eye[2]
+
+
+class FakeEndpoint(BaseHTTPRequestHandler):
+    """A keep-alive chat-completions endpoint that injects faults on request.
+
+    Each request takes the next action of ``behavior`` (the last one
+    repeats), or ``choose(body)`` when that is set:
+
+    - ``ok``: a 200 whose answer is "liberal"
+    - ``429`` / ``429:<Retry-After>``: rate limited, without / with the header
+    - ``500``: a server error
+    - ``truncated``: a ``Content-Length`` larger than the bytes sent, then
+      the socket closes
+    - ``notjson``: a 200 whose body is not JSON
+    - ``drop``: the connection closes with no response
+    - ``slow:<s>``: an ok reply after ``<s>`` seconds
+    - ``close``: an ok reply, then the server closes the connection without
+      announcing it; ``closed`` is released once it has
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # else each reply waits on the client's delayed ACK
+    requests_seen = []
+    behavior = ["ok"]
+    choose = None
+    closed = threading.Semaphore(0)
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        cls = type(self)
+        cls.requests_seen.append(
+            {
+                "path": self.path,
+                "body": body,
+                "auth": self.headers.get("Authorization"),
+                "host": self.headers.get("Host"),
+                "proxy_auth": self.headers.get("Proxy-Authorization"),
+                "port": self.client_address[1],
+            }
+        )
+        if cls.choose is not None:
+            action = cls.choose(body)
+        else:
+            action = cls.behavior.pop(0) if len(cls.behavior) > 1 else cls.behavior[0]
+        if action.startswith("429"):  # "429" or "429:<Retry-After value>"
+            self.send_response(429)
+            if action.startswith("429:"):
+                self.send_header("Retry-After", action.partition(":")[2])
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        if action == "500":
+            self.send_response(500)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        if action == "drop":
+            self.close_connection = True
+            return
+        if action.startswith("slow:"):
+            time.sleep(float(action.partition(":")[2]))
+        raw = json.dumps({"choices": [{"message": {"content": "The answer is liberal"}}]}).encode()
+        if action == "notjson":
+            raw = b"<html>upstream error</html>"
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(raw) + (10 if action == "truncated" else 0)))
+        self.end_headers()
+        try:
+            self.wfile.write(raw)
+        except OSError:  # a slow reply whose client gave up
+            self.close_connection = True
+            return
+        if action in ("truncated", "close"):
+            self.close_connection = True
+        if action == "close":
+            self.connection.shutdown(socket.SHUT_WR)
+            cls.closed.release()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def fake_endpoint():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), FakeEndpoint)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    FakeEndpoint.requests_seen = []
+    FakeEndpoint.behavior = ["ok"]
+    FakeEndpoint.choose = None
+    FakeEndpoint.closed = threading.Semaphore(0)
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)

@@ -16,6 +16,8 @@ from ideolab.embedding import HashedProvider
 from ideolab.prompting import FIELD_GRID
 from ideolab.synthetic import synthetic_corpus
 
+from conftest import FakeEndpoint
+
 
 @pytest.fixture
 def corpus_files(tmp_path):
@@ -331,6 +333,52 @@ class TestOneLoadPerRun:
         assert max(alive) <= 1
 
 
+class TestOneClientPerRun:
+    @pytest.fixture
+    def counted_clients(self, monkeypatch):
+        """Count the LLM clients the command line builds and closes; the
+        subclass keeps no reference to its instances."""
+        counts = {"built": 0, "closed": 0}
+
+        class CountedClient(cli.ChatCompletionsClient):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                counts["built"] += 1
+
+            def close(self):
+                counts["closed"] += 1
+                super().close()
+
+        monkeypatch.setattr(cli, "ChatCompletionsClient", CountedClient)
+        return counts
+
+    def test_ablate_over_http_builds_one_client_and_closes_it(
+        self, corpus_files, tmp_path, monkeypatch, fake_endpoint, counted_clients
+    ):
+        train_path, test_path = corpus_files
+        out = tmp_path / "grid"
+        assert main(["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + base_flags(out)) == 0
+        monkeypatch.setenv("LLM_BASE_URL", fake_endpoint)
+        argv = ["ablate", "--dataset", str(test_path), "--train-dataset", str(train_path)] + base_flags(out)
+        assert main(argv) == 0
+        assert counted_clients == {"built": 1, "closed": 1}
+        statuses = [
+            json.loads(line)["parse_status"]
+            for path in out.glob("*/predictions.jsonl")
+            for line in path.read_text(encoding="utf-8").splitlines()[1:]
+        ]
+        assert statuses == ["ok"] * 16 * 12
+        # connections outlive a cell: no more are opened than requests are in flight
+        assert len({seen["port"] for seen in FakeEndpoint.requests_seen}) <= 4
+
+    def test_mock_run_builds_no_client(self, corpus_files, tmp_path, counted_clients):
+        train_path, test_path = corpus_files
+        out = tmp_path / "grid"
+        assert main(["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + base_flags(out)) == 0
+        assert main(ablate_flags(train_path, test_path, out)) == 0
+        assert counted_clients == {"built": 0, "closed": 0}
+
+
 EMBEDDING_RECORD = {"id": "a", "fields_hash": "fh", "dim": 4, "tokens": [[1, 0, 0, 0]], "sentence": [1, 0, 0, 0]}
 BAD_EMBEDDING_LINES = [('{"id": "a", "dim', "malformed JSON"), ("[1, 2]", "expected a JSON object")] + [
     (json.dumps({k: v for k, v in EMBEDDING_RECORD.items() if k != key}), f"missing {key}")
@@ -531,6 +579,30 @@ class TestErrors:
         assert err.startswith("error: EmbeddingError: ")
         assert len(err.strip().splitlines()) == 1
         assert f"{path}: line 2: {reason}" in err
+
+    # config values of the wrong type, a resample count the bootstrap cannot
+    # use, a file holding no object and a file that is not JSON
+    BAD_CONFIGS = [
+        (json.dumps({key: value}), key)
+        for key, value in [
+            ("k", "4"), ("embed_dim", None), ("cot", "false"), ("fields", 3), ("max_in_flight", "2"),
+            ("char_budget", None), ("bootstrap_resamples", "10"), ("bootstrap_resamples", 0), ("label_scheme", ["x"]),
+        ]
+    ] + [('["k"]', None), ("{k: 4", None)]
+
+    @pytest.mark.parametrize("text,key", BAD_CONFIGS)
+    def test_bad_config_value_is_a_clean_exit(self, corpus_files, tmp_path, capsys, text, key):
+        train_path, test_path = corpus_files
+        out = tmp_path / "grid"
+        assert main(["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + base_flags(out)) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(ablate_flags(train_path, test_path, out) + ["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert (key if key is not None else str(cfg_path)) in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -54,6 +54,14 @@ class TestTokenEmbeddingSet:
         with pytest.raises(EmbeddingError, match="not L2-normalized"):
             TokenEmbeddingSet.from_raw("x", 2, [[np.nan, 1.0]], [1.0, 0.0])
 
+    def test_rejects_unnormalized_sentence(self):
+        with pytest.raises(EmbeddingError, match="x: sentence vector is not L2-normalized"):
+            TokenEmbeddingSet("x", 2, [[1.0, 0.0]], [3.0, 4.0])
+
+    def test_rejects_nan_sentence_naming_the_item(self):
+        with pytest.raises(EmbeddingError, match="item-7: sentence vector is not L2-normalized"):
+            TokenEmbeddingSet.from_raw("item-7", 2, [[1.0, 0.0]], [np.nan, 1.0])
+
     def test_rejects_empty_tokens(self):
         with pytest.raises(EmbeddingError):
             TokenEmbeddingSet("x", 2, np.zeros((0, 2)), np.array([1.0, 0.0]))

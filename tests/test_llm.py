@@ -1,13 +1,8 @@
 import base64
-import json
 import os
 import random
-import socket
 import subprocess
 import sys
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -28,6 +23,8 @@ from ideolab.llm import (
 )
 from ideolab.llm import PromptTooLargeError
 from ideolab.prompting import RenderedPrompt
+
+from conftest import FakeEndpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 L, N, C = Ideology.LIBERAL, Ideology.NEUTRAL, Ideology.CONSERVATIVE
@@ -300,102 +297,6 @@ class TestBatch:
         assert calls.count("q3") == 1
 
 
-class _FakeEndpoint(BaseHTTPRequestHandler):
-    """A keep-alive chat-completions endpoint that injects faults on request.
-
-    Each request takes the next action of ``behavior`` (the last one
-    repeats), or ``choose(body)`` when that is set:
-
-    - ``ok``: a 200 whose answer is "liberal"
-    - ``429`` / ``429:<Retry-After>``: rate limited, without / with the header
-    - ``500``: a server error
-    - ``truncated``: a ``Content-Length`` larger than the bytes sent, then
-      the socket closes
-    - ``notjson``: a 200 whose body is not JSON
-    - ``drop``: the connection closes with no response
-    - ``slow:<s>``: an ok reply after ``<s>`` seconds
-    - ``close``: an ok reply, then the server closes the connection without
-      announcing it; ``closed`` is released once it has
-    """
-
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True  # else each reply waits on the client's delayed ACK
-    requests_seen = []
-    behavior = ["ok"]
-    choose = None
-    closed = threading.Semaphore(0)
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        cls = type(self)
-        cls.requests_seen.append(
-            {
-                "path": self.path,
-                "body": body,
-                "auth": self.headers.get("Authorization"),
-                "host": self.headers.get("Host"),
-                "proxy_auth": self.headers.get("Proxy-Authorization"),
-                "port": self.client_address[1],
-            }
-        )
-        if cls.choose is not None:
-            action = cls.choose(body)
-        else:
-            action = cls.behavior.pop(0) if len(cls.behavior) > 1 else cls.behavior[0]
-        if action.startswith("429"):  # "429" or "429:<Retry-After value>"
-            self.send_response(429)
-            if action.startswith("429:"):
-                self.send_header("Retry-After", action.partition(":")[2])
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
-        if action == "500":
-            self.send_response(500)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
-        if action == "drop":
-            self.close_connection = True
-            return
-        if action.startswith("slow:"):
-            time.sleep(float(action.partition(":")[2]))
-        raw = json.dumps({"choices": [{"message": {"content": "The answer is liberal"}}]}).encode()
-        if action == "notjson":
-            raw = b"<html>upstream error</html>"
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw) + (10 if action == "truncated" else 0)))
-        self.end_headers()
-        try:
-            self.wfile.write(raw)
-        except OSError:  # a slow reply whose client gave up
-            self.close_connection = True
-            return
-        if action in ("truncated", "close"):
-            self.close_connection = True
-        if action == "close":
-            self.connection.shutdown(socket.SHUT_WR)
-            cls.closed.release()
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def fake_endpoint():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _FakeEndpoint)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _FakeEndpoint.requests_seen = []
-    _FakeEndpoint.behavior = ["ok"]
-    _FakeEndpoint.choose = None
-    _FakeEndpoint.closed = threading.Semaphore(0)
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
-
-
 @pytest.fixture
 def make_client(fake_endpoint):
     """ChatCompletionsClient factory whose clients' connections close at teardown."""
@@ -407,7 +308,7 @@ def make_client(fake_endpoint):
 
     yield make
     for client in clients:
-        client._pool.close()
+        client.close()
 
 
 class TestHttpClient:
@@ -417,16 +318,16 @@ class TestHttpClient:
         client = make_client(cfg)
         record = classify(prompt_with_demos([L]), cfg, client, query_id="q", gold=L)
         assert record.pred is L and record.parse_status == "ok"
-        seen = _FakeEndpoint.requests_seen[0]
+        seen = FakeEndpoint.requests_seen[0]
         assert seen["path"] == "/v1/chat/completions"
         assert seen["auth"] == "Bearer sk-test"
         assert seen["body"]["model"] == "test-model"
         assert seen["body"]["temperature"] == 0.0
         assert seen["body"]["messages"][0]["role"] == "user"
-        assert len(_FakeEndpoint.requests_seen) == 1
+        assert len(FakeEndpoint.requests_seen) == 1
 
     def test_rate_limit_then_success(self, fake_endpoint, make_client):
-        _FakeEndpoint.behavior = ["429", "ok"]
+        FakeEndpoint.behavior = ["429", "ok"]
         cfg = LLMConfig(base_url=fake_endpoint)
         client = make_client(cfg)
         record = classify(prompt_with_demos([]), cfg, client, query_id="q", sleep=lambda _: None)
@@ -434,7 +335,7 @@ class TestHttpClient:
         assert record.attempts == 2
 
     def test_server_error_then_success(self, fake_endpoint, make_client):
-        _FakeEndpoint.behavior = ["500", "ok"]
+        FakeEndpoint.behavior = ["500", "ok"]
         cfg = LLMConfig(base_url=fake_endpoint)
         client = make_client(cfg)
         record = classify(prompt_with_demos([]), cfg, client, query_id="q", sleep=lambda _: None)
@@ -442,7 +343,7 @@ class TestHttpClient:
 
     @pytest.mark.parametrize("retry_after", ["-1", "nan", "1e999"])
     def test_unusable_retry_after_falls_back_to_backoff(self, fake_endpoint, make_client, retry_after):
-        _FakeEndpoint.behavior = [f"429:{retry_after}", "ok"]
+        FakeEndpoint.behavior = [f"429:{retry_after}", "ok"]
         cfg = LLMConfig(base_url=fake_endpoint, max_in_flight=2)
         tasks = [(f"q{i}", L, prompt_with_demos([])) for i in range(3)]
         sleeps = []
@@ -462,7 +363,7 @@ class TestHttpClient:
         assert sleeps == []
 
     def test_broken_body_is_a_transport_error_not_a_lost_batch(self, fake_endpoint, make_client):
-        _FakeEndpoint.choose = lambda body: "truncated" if "Title: q2" in body["messages"][-1]["content"] else "ok"
+        FakeEndpoint.choose = lambda body: "truncated" if "Title: q2" in body["messages"][-1]["content"] else "ok"
         cfg = LLMConfig(base_url=fake_endpoint, max_in_flight=2, max_retries=2)
         client = make_client(cfg)
         tasks = [
@@ -481,14 +382,14 @@ class TestHttpClient:
     def test_seeded_fault_mix_ends_every_record(self, fake_endpoint, make_client):
         rng = random.Random(1234)
         faults = ["429", "429:0", "500", "truncated", "notjson", "drop", "slow:0.4"]
-        _FakeEndpoint.behavior = [rng.choice(faults) if rng.random() < 0.5 else "ok" for _ in range(200)] + ["ok"]
+        FakeEndpoint.behavior = [rng.choice(faults) if rng.random() < 0.5 else "ok" for _ in range(200)] + ["ok"]
         cfg = LLMConfig(base_url=fake_endpoint, max_in_flight=4, timeout=0.15)
         tasks = [(f"q{i:02d}", L, prompt_with_demos([L])) for i in range(30)]
         records = classify_batch(tasks, cfg, make_client(cfg), sleep=lambda _: None)
         assert [r.query_id for r in records] == [f"q{i:02d}" for i in range(30)]
         assert {r.parse_status for r in records} <= {"ok", "transport_error"}
         assert all((r.pred is L) == (r.parse_status == "ok") for r in records)
-        assert sum(r.attempts for r in records) == len(_FakeEndpoint.requests_seen)
+        assert sum(r.attempts for r in records) == len(FakeEndpoint.requests_seen)
 
 
 class TestConnectionPool:
@@ -497,11 +398,11 @@ class TestConnectionPool:
         client = make_client(cfg)
         tasks = [(f"q{i:02d}", L, prompt_with_demos([])) for i in range(20)]
         assert all(r.parse_status == "ok" for r in classify_batch(tasks, cfg, client))
-        first = {seen["port"] for seen in _FakeEndpoint.requests_seen}
-        assert len(_FakeEndpoint.requests_seen) == 20
+        first = {seen["port"] for seen in FakeEndpoint.requests_seen}
+        assert len(FakeEndpoint.requests_seen) == 20
         assert 1 <= len(first) <= 2
         assert all(r.parse_status == "ok" for r in classify_batch(tasks, cfg, client))
-        assert {seen["port"] for seen in _FakeEndpoint.requests_seen[20:]} <= first
+        assert {seen["port"] for seen in FakeEndpoint.requests_seen[20:]} <= first
 
     def test_contended_pool_loses_and_duplicates_no_connection(self, fake_endpoint, make_client):
         cfg = LLMConfig(base_url=fake_endpoint, max_in_flight=8)
@@ -514,20 +415,20 @@ class TestConnectionPool:
         finally:
             sys.setswitchinterval(interval)
         assert all(r.parse_status == "ok" for r in records)
-        ports = {seen["port"] for seen in _FakeEndpoint.requests_seen}
-        idle = [id(conn) for conns in client._pool._idle.values() for conn in conns]
+        ports = {seen["port"] for seen in FakeEndpoint.requests_seen}
+        idle = [id(conn) for conn in client._pool._idle]
         assert len(set(idle)) == len(idle) == len(ports) <= 8
 
     def test_connection_closed_by_the_server_is_replaced_before_use(self, fake_endpoint, make_client):
-        _FakeEndpoint.behavior = ["close"]
+        FakeEndpoint.behavior = ["close"]
         cfg = LLMConfig(base_url=fake_endpoint)
         client = make_client(cfg)
         for i in range(5):
             sleeps = []
             record = classify(prompt_with_demos([]), cfg, client, query_id=f"q{i}", sleep=sleeps.append)
             assert (record.parse_status, record.attempts, sleeps) == ("ok", 1, [])
-            assert _FakeEndpoint.closed.acquire(timeout=10)
-        assert len({seen["port"] for seen in _FakeEndpoint.requests_seen}) == 5
+            assert FakeEndpoint.closed.acquire(timeout=10)
+        assert len({seen["port"] for seen in FakeEndpoint.requests_seen}) == 5
 
     def test_http_proxy_gets_the_absolute_url(self, fake_endpoint, make_client, monkeypatch):
         for name in ("http_proxy", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
@@ -537,7 +438,7 @@ class TestConnectionPool:
         cfg = LLMConfig(base_url="http://127.0.0.1:9", max_retries=0, timeout=5.0)
         record = classify(prompt_with_demos([]), cfg, make_client(cfg), query_id="q")
         assert record.parse_status == "ok"
-        (seen,) = _FakeEndpoint.requests_seen
+        (seen,) = FakeEndpoint.requests_seen
         assert seen["path"] == "http://127.0.0.1:9/v1/chat/completions"
         assert seen["host"] == "127.0.0.1:9"
         assert seen["proxy_auth"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
@@ -550,7 +451,26 @@ class TestConnectionPool:
         cfg = LLMConfig(base_url=fake_endpoint, max_retries=0)
         record = classify(prompt_with_demos([]), cfg, make_client(cfg), query_id="q")
         assert record.parse_status == "ok"
-        assert _FakeEndpoint.requests_seen[0]["path"] == "/v1/chat/completions"
+        assert FakeEndpoint.requests_seen[0]["path"] == "/v1/chat/completions"
+
+    def test_client_made_before_a_proxy_is_set_goes_direct(self, fake_endpoint, make_client, monkeypatch):
+        for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+            monkeypatch.delenv(name, raising=False)
+        cfg = LLMConfig(base_url=fake_endpoint, max_retries=0)
+        client = make_client(cfg)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+        record = classify(prompt_with_demos([]), cfg, client, query_id="q")
+        assert record.parse_status == "ok"
+        assert FakeEndpoint.requests_seen[0]["path"] == "/v1/chat/completions"
+
+    def test_client_keeps_the_url_it_was_made_with(self, fake_endpoint, make_client, monkeypatch):
+        monkeypatch.setenv("LLM_BASE_URL", fake_endpoint)
+        cfg = LLMConfig(max_retries=0)
+        client = make_client(cfg)
+        monkeypatch.setenv("LLM_BASE_URL", "http://127.0.0.1:9")  # nothing listens there
+        record = classify(prompt_with_demos([]), cfg, client, query_id="q")
+        assert record.parse_status == "ok"
+        assert len(FakeEndpoint.requests_seen) == 1
 
     def test_missing_ca_bundle_fails_at_once(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "missing.pem"))
