@@ -76,16 +76,11 @@ def _require(cfg: RunConfig, **fields) -> None:
             raise CliError(f"missing required config value: {label}")
 
 
+_LLM_SETTINGS = ("model_name", "temperature", "max_in_flight", "max_retries", "timeout", "char_budget", "chat_turns")
+
+
 def _llm_config(cfg: RunConfig) -> LLMConfig:
-    return LLMConfig(
-        model_name=cfg.model_name,
-        temperature=cfg.temperature,
-        max_in_flight=cfg.max_in_flight,
-        max_retries=cfg.max_retries,
-        timeout=cfg.timeout,
-        char_budget=cfg.char_budget,
-        chat_turns=cfg.chat_turns,
-    )
+    return LLMConfig(**{name: getattr(cfg, name) for name in _LLM_SETTINGS})
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -119,29 +114,36 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
+def _close(resource) -> None:
+    """Close an HTTP client or provider; mocks and in-process providers have no ``close``."""
+    getattr(resource, "close", lambda: None)()
+
+
+def _embed_dataset(cfg: RunConfig, path: str):
+    """(items, embeddings) for the dataset at ``path``. The provider is made
+    before the read, so a bad endpoint fails first, and closed at the end."""
+    provider = load_provider(cfg.embed_provider, cfg.embed_dim)
+    try:
+        items = load_dataset(path, LabelMapping.for_scheme(cfg.label_scheme))
+        cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
+        return items, embed_many(items, FieldConfig.from_key(cfg.fields), provider, cache)
+    finally:
+        _close(provider)
+
+
 def cmd_embed(cfg: RunConfig) -> int:
     _require(cfg, dataset="--dataset", cache_dir="--cache-dir")
-    scheme = LabelMapping.for_scheme(cfg.label_scheme)
-    items = load_dataset(cfg.dataset, scheme)
-    provider = load_provider(cfg.embed_provider, cfg.embed_dim)
-    cache = EmbeddingCache(cfg.cache_dir)
-    fields = FieldConfig.from_key(cfg.fields)
-    embed_many(items, fields, provider, cache)
+    items, _ = _embed_dataset(cfg, cfg.dataset)
     print(f"embedded {len(items)} items into cache {cfg.cache_dir}")
     return 0
 
 
 def cmd_pool(cfg: RunConfig) -> int:
     _require(cfg, train_dataset="--train-dataset")
-    out = _out_dir(cfg)
-    scheme = LabelMapping.for_scheme(cfg.label_scheme)
-    train = load_dataset(cfg.train_dataset, scheme)
-    provider = load_provider(cfg.embed_provider, cfg.embed_dim)
-    cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
-    fields = FieldConfig.from_key(cfg.fields)
-    embeddings = embed_many(train, fields, provider, cache)
+    train, embeddings = _embed_dataset(cfg, cfg.train_dataset)
     n = cfg.pool_size or len(train)
     pool = build_candidate_pool(train, embeddings, n, probe_size=cfg.probe_size, seed=cfg.seed)
+    out = _out_dir(cfg)
     pool_path = out / "pool.jsonl"
     pool.save(pool_path, extra_header={"config_hash": cfg.config_hash})
     _dump_effective_config(cfg, out)
@@ -245,27 +247,29 @@ def run_classify(cfg: RunConfig, queries, train, demos, llm, dump_prompts: bool 
 def _classify_cells(cfg: RunConfig, cells: list[RunConfig], dump_prompts: bool):
     """Yield (cell, predictions path) for cells that differ from ``cfg``
     only in k, fields and where they write: one load, one selection pass
-    per field configuration, then the per-cell step. The embedding provider
-    and cache are built once, and only when some selection is ordered. The
-    LLM callable is built once; a client is closed when the run ends."""
-    queries, train, pool = _load(cfg, [cell.k for cell in cells])
+    per field configuration, then the per-cell step. The LLM callable, and
+    the embedding provider and cache when some selection is ordered, are
+    built once and first, so a bad endpoint fails before any dataset is
+    read. Both are closed when the run ends, also when it fails."""
+    llm_cfg = _llm_config(cfg)  # checked also when a mock answers
+    llm = mock_from_spec(cfg.mock) if cfg.mock else ChatCompletionsClient(llm_cfg)
     provider = cache = None
-    if cfg.select == "balanced" and pool is not None:
-        provider = load_provider(cfg.embed_provider, cfg.embed_dim)
-        cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
-    demos = {}
-    for fields in dict.fromkeys(cell.fields for cell in cells):
-        ks = [cell.k for cell in cells if cell.fields == fields]
-        selected = _select(cfg, queries, train, pool, FieldConfig.from_key(fields), ks, provider, cache)
-        for k, chosen in selected.items():
-            demos[k, fields] = chosen
-    llm = mock_from_spec(cfg.mock) if cfg.mock else ChatCompletionsClient(_llm_config(cfg))
     try:
+        if cfg.select == "balanced" and max(cell.k for cell in cells) > 0:
+            provider = load_provider(cfg.embed_provider, cfg.embed_dim)
+            cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
+        queries, train, pool = _load(cfg, [cell.k for cell in cells])
+        demos = {}
+        for fields in dict.fromkeys(cell.fields for cell in cells):
+            ks = [cell.k for cell in cells if cell.fields == fields]
+            selected = _select(cfg, queries, train, pool, FieldConfig.from_key(fields), ks, provider, cache)
+            for k, chosen in selected.items():
+                demos[k, fields] = chosen
         for cell in cells:
             yield cell, run_classify(cell, queries, train, demos.pop((cell.k, cell.fields)), llm, dump_prompts)
     finally:
-        if not cfg.mock:
-            llm.close()
+        _close(llm)
+        _close(provider)
 
 
 def cmd_classify(cfg: RunConfig, dump_prompts: bool = False) -> int:
@@ -320,7 +324,7 @@ def cmd_compare(path_a: str, path_b: str, exact: bool, out: Optional[str]) -> in
 
 def cmd_ablate(cfg: RunConfig, dump_prompts: bool = False) -> int:
     """Sweep the k grid against the four field configurations."""
-    base_out = _out_dir(cfg)
+    base_out = Path(cfg.out)  # made by the first cell, so a run that fails first writes nothing
     pool_file = str(_resolve_pool_path(cfg, base_out))
     grid = [
         dataclasses.replace(
@@ -343,7 +347,7 @@ def cmd_ablate(cfg: RunConfig, dump_prompts: bool = False) -> int:
         )
         print(f"k={cell_cfg.k:<3} fields={cell_cfg.fields:<18} accuracy={report.accuracy:.4f}")
     summary = {"config_hash": cfg.config_hash, "cells": cells}
-    (base_out / "ablation_summary.json").write_text(
+    (_out_dir(cfg) / "ablation_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     print(f"wrote {len(cells)} reports under {base_out}")

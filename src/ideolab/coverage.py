@@ -248,6 +248,8 @@ def build_candidate_pool(
         raise CoverageError(f"pool size must be positive, got {n}")
     if n > len(train):
         raise CoverageError(f"pool size {n} exceeds training set size {len(train)}")
+    if probe_size < 1:
+        raise CoverageError(f"probe size must be positive, got {probe_size}")
     unlabeled = [it.id for it in train if it.label is None]
     if unlabeled:
         raise CoverageError(f"pool candidates must be labeled, e.g. {unlabeled[:3]}")

@@ -253,6 +253,8 @@ class HttpProvider:
     The response body mirrors a precomputed-file record minus the ids:
     {"dim": int, "tokens": [[...], ...], "sentence": [...]}. Connections
     are kept alive in one pool that the workers of :func:`embed_many` share.
+    The URL, proxy route, CA bundle and timeout are fixed and checked when
+    the provider is made, so a bad one raises ``ValueError`` here.
     """
 
     kind = "http_service"
@@ -271,6 +273,10 @@ class HttpProvider:
         # a malformed reply is not retried: the same request fails again
         body = _embedding_record(raw, f"{self.url}: reply for {item_id!r}", _REPLY_KEYS, self.dim)
         return body["tokens"], body["sentence"]
+
+    def close(self) -> None:
+        """Close the provider's idle connections; a later fetch opens new ones."""
+        self._pool.close()
 
 
 class EmbeddingCache:

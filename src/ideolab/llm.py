@@ -77,12 +77,8 @@ class LLMConfig:
             raise ValueError("max_in_flight must be at least 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be nonnegative")
-
-    def resolved_base_url(self) -> str:
-        return self.base_url or os.environ.get("LLM_BASE_URL", "https://api.openai.com")
-
-    def resolved_api_key(self) -> Optional[str]:
-        return self.api_key or os.environ.get("LLM_API_KEY")
+        if self.char_budget < 1:
+            raise ValueError(f"char_budget must be at least 1, got {self.char_budget}")
 
 
 @dataclass
@@ -210,24 +206,26 @@ def mock_from_spec(spec: str) -> LLMCallable:
 
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
+_UNSENDABLE = re.compile(r"[\x00-\x20\x7f]")  # what http.client refuses in a host or path
 
 
 def _split_url(url: str) -> tuple[str, str, int, str]:
     """Split an http(s) URL into scheme, host, port and request path.
 
     A malformed URL (no scheme, a scheme other than http/https, no host, a
-    bad port) is a :class:`TransportError` that is not retried.
+    bad port, a space or control character in the host or path) raises
+    ``ValueError`` naming the URL.
     """
     try:
         parts = urllib.parse.urlsplit(url)
         port = parts.port
     except ValueError as exc:
-        raise TransportError(f"request failed: invalid URL {url!r}: {exc}", retryable=False) from exc
-    if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
-        raise TransportError(f"request failed: invalid URL {url!r}", retryable=False)
+        raise ValueError(f"invalid URL {url!r}: {exc}") from None
     path = parts.path or "/"
     if parts.query:
         path += "?" + parts.query
+    if parts.scheme not in _DEFAULT_PORTS or not parts.hostname or _UNSENDABLE.search(parts.hostname + path):
+        raise ValueError(f"invalid URL {url!r}: need http:// or https://, a host and no spaces")
     return parts.scheme, parts.hostname, port or _DEFAULT_PORTS[parts.scheme], path
 
 
@@ -255,7 +253,7 @@ def _ssl_context(cafile: Optional[str]) -> ssl.SSLContext:
             return ssl.create_default_context(capath=cafile)
         return ssl.create_default_context(cafile=cafile)
     except (OSError, ssl.SSLError) as exc:
-        raise TransportError(f"request failed: CA bundle {cafile!r}: {exc}", retryable=False) from exc
+        raise ValueError(f"CA bundle {cafile!r} does not load: {exc}") from None
 
 
 _JSON_HEADERS = {"Content-Type": "application/json", "User-Agent": "ideolab"}
@@ -264,41 +262,56 @@ _JSON_HEADERS = {"Content-Type": "application/json", "User-Agent": "ideolab"}
 class _ConnectionPool:
     """Keep-alive ``http.client`` connections to one URL, shared by the threads of one client.
 
-    Idle connections wait in one list behind one lock. A request takes an
-    idle connection or opens one, so no more are open than requests were
-    ever in flight at once. A connection goes back only after its whole
-    body was read; on any error it is closed. An idle connection the server
-    has closed is replaced before use, so a connection that timed out while
-    idle costs no retry. Proxies (``HTTP(S)_PROXY``, ``NO_PROXY``) and the
-    CA bundle (``REQUESTS_CA_BUNDLE``, then ``CURL_CA_BUNDLE``) are read
-    from the environment when the pool is made. The URL's host, port, path
-    and proxy bypass, and the https SSL context, are worked out on the
-    first request and kept; a malformed URL or a CA bundle that does not
-    load is never kept, so it fails every request.
+    The route is fixed when the pool is made: the URL's host, port and path,
+    the proxy (``HTTP(S)_PROXY``, ``NO_PROXY``) and, for https, the SSL
+    context from ``REQUESTS_CA_BUNDLE``, else ``CURL_CA_BUNDLE``. A malformed
+    URL, a CA bundle that does not load or a timeout outside (0, inf) raises
+    ``ValueError`` there. A request takes an idle connection or opens one, so
+    no more are open than requests were ever in flight at once. A connection
+    goes back to the idle list only after its whole body was read; on any
+    error it is closed. An idle connection the server has closed is replaced
+    before use, so a connection that timed out while idle costs no retry.
     """
 
     def __init__(self, url: str, timeout: float):
-        self.url = url
-        self.timeout = timeout
+        if not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be a positive number of seconds, got {timeout!r}")
+        scheme, host, port, self._path = _split_url(url)
+        proxy = urllib.request.getproxies().get(scheme)
+        if proxy and not urllib.request.proxy_bypass(host):
+            proxy = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            address = (proxy.hostname, proxy.port or _DEFAULT_PORTS.get(proxy.scheme, 80))
+        else:
+            proxy, address = None, (host, port)
+        self._route_headers = {}
+        if scheme == "http":
+            if proxy is not None:  # a plain-http proxy takes the absolute URL
+                self._path, self._route_headers = url.partition("#")[0], _proxy_auth(proxy)
+            self._connect = functools.partial(http.client.HTTPConnection, *address, timeout=timeout)
+        else:
+            context = _ssl_context(os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE"))
+
+            def connect() -> http.client.HTTPConnection:
+                conn = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
+                if proxy is not None:
+                    conn.set_tunnel(host, port, headers=_proxy_auth(proxy))
+                return conn
+
+            self._connect = connect
         self._lock = threading.Lock()
         self._idle: list[http.client.HTTPConnection] = []
-        self._proxies = urllib.request.getproxies()
-        self._cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-        self._resolved: Optional[tuple[str, dict, Callable[[], http.client.HTTPConnection]]] = None
 
     def post(self, payload, headers: Optional[dict] = None) -> bytes:
         """POST ``payload`` as JSON once; return the reply body or raise a :class:`TransportError`.
 
         A transport failure (a socket error, a timeout, a truncated or missing
         reply) or a 5xx is retryable, a 429 is retryable after its
-        ``Retry-After``; a malformed URL or any other 4xx is not, because the
-        same request fails again.
+        ``Retry-After``; any other 4xx is not, because the same request fails
+        again.
         """
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
         try:
             status, reply_headers, data = self._exchange(body, {**_JSON_HEADERS, **(headers or {})})
-        except http.client.InvalidURL as exc:
-            raise TransportError(f"request failed: {exc}", retryable=False) from exc
         except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"request failed: {type(exc).__name__}: {exc}") from exc
         if status == 429:
@@ -322,10 +335,9 @@ class _ConnectionPool:
 
     def _exchange(self, body: bytes, headers: dict) -> tuple[int, http.client.HTTPMessage, bytes]:
         """Send once; return the status, headers and whole body of the reply."""
-        path, route_headers, connect = self._route()
-        conn = self._take() or connect()
+        conn = self._take() or self._connect()
         try:
-            conn.request("POST", path, body, {**headers, **route_headers})
+            conn.request("POST", self._path, body, {**headers, **self._route_headers})
             resp = conn.getresponse()
             data = resp.read()
         except BaseException:
@@ -347,36 +359,6 @@ class _ConnectionPool:
             if conn.sock is not None and not _dropped(conn.sock):
                 return conn
             conn.close()
-
-    def _route(self) -> tuple[str, dict, Callable[[], http.client.HTTPConnection]]:
-        """The request path, the headers a plain-http proxy needs and a
-        connection factory for the URL; worked out on the first request."""
-        with self._lock:
-            if self._resolved is not None:
-                return self._resolved
-            scheme, host, port, path = _split_url(self.url)
-            proxy = self._proxies.get(scheme)
-            if proxy and not urllib.request.proxy_bypass(host):
-                proxy = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
-                address = (proxy.hostname, proxy.port or _DEFAULT_PORTS.get(proxy.scheme, 80))
-            else:
-                proxy, address = None, (host, port)
-            headers = {}
-            if scheme == "http":
-                if proxy is not None:  # a plain-http proxy takes the absolute URL
-                    path, headers = self.url.partition("#")[0], _proxy_auth(proxy)
-                connect = functools.partial(http.client.HTTPConnection, *address, timeout=self.timeout)
-            else:
-                context = _ssl_context(self._cafile)
-
-                def connect() -> http.client.HTTPConnection:
-                    conn = http.client.HTTPSConnection(*address, timeout=self.timeout, context=context)
-                    if proxy is not None:
-                        conn.set_tunnel(host, port, headers=_proxy_auth(proxy))
-                    return conn
-
-            self._resolved = (path, headers, connect)
-            return self._resolved
 
 
 def _retry(call: Callable, max_retries: int, sleep: Callable[[float], None], attempts: int = 0):
@@ -403,16 +385,19 @@ def _retry(call: Callable, max_retries: int, sleep: Callable[[float], None], att
 
 class ChatCompletionsClient:
     """OpenAI-compatible chat-completions client (single attempt per call;
-    the retry policy lives in :func:`classify`). The endpoint URL and the
-    timeout are resolved when the client is made, the API key on every call.
+    the retry policy lives in :func:`classify`). The endpoint URL, its proxy
+    route, the CA bundle and the timeout are fixed and checked when the
+    client is made, so a bad one raises ``ValueError`` here; the API key is
+    read on every call.
     """
 
     def __init__(self, cfg: LLMConfig):
         self.cfg = cfg
-        self._pool = _ConnectionPool(cfg.resolved_base_url().rstrip("/") + "/v1/chat/completions", cfg.timeout)
+        base_url = cfg.base_url or os.environ.get("LLM_BASE_URL", "https://api.openai.com")
+        self._pool = _ConnectionPool(base_url.rstrip("/") + "/v1/chat/completions", cfg.timeout)
 
     def __call__(self, messages: list[dict], query_id: Optional[str] = None) -> str:
-        key = self.cfg.resolved_api_key()
+        key = self.cfg.api_key or os.environ.get("LLM_API_KEY")
         payload = {"model": self.cfg.model_name, "messages": messages, "temperature": self.cfg.temperature}
         body = self._pool.post(payload, {"Authorization": f"Bearer {key}"} if key else None)
         try:

@@ -129,3 +129,52 @@ def fake_endpoint():
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
+
+
+@pytest.fixture
+def embed_endpoint():
+    import json as json_module
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    requests_seen = []
+    # answered, in order, before the first 200: (status, headers), or
+    # "truncated" for a 200 whose body stops short of its Content-Length,
+    # or "notjson" for a 200 whose body is not JSON, or bytes for a 200
+    # with that body
+    failures = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json_module.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            requests_seen.append(body)
+            failure = failures.pop(0) if failures else None
+            if isinstance(failure, tuple):
+                status, headers = failure
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
+            ts = TokenEmbeddingSet.from_raw("x", 4, np.eye(4)[:2], np.eye(4)[0])
+            payload = json_module.dumps(
+                {"dim": 4, "tokens": ts.token_vectors.tolist(), "sentence": ts.sentence_vector.tolist()}
+            ).encode()
+            if failure == "notjson":
+                payload = b"<html>upstream error</html>"
+            elif isinstance(failure, bytes):
+                payload = failure
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload) + (10 if failure == "truncated" else 0)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/embed", requests_seen, failures
+    server.shutdown()
+    server.server_close()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ideolab import cli
+from ideolab import cli, embedding
 from ideolab.cli import _build_parser, derive_seed, main
 from ideolab.config import RunConfig
 from ideolab.corpus import write_dataset
@@ -379,6 +379,61 @@ class TestOneClientPerRun:
         assert counted_clients == {"built": 0, "closed": 0}
 
 
+class TestOneProviderPerRun:
+    @pytest.fixture
+    def counted_providers(self, monkeypatch):
+        """Count the HTTP embedding providers the command line builds and
+        closes; the subclass keeps no reference to its instances."""
+        counts = {"built": 0, "closed": 0}
+
+        class CountedProvider(embedding.HttpProvider):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                counts["built"] += 1
+
+            def close(self):
+                counts["closed"] += 1
+                super().close()
+
+        monkeypatch.setattr(embedding, "HttpProvider", CountedProvider)
+        return counts
+
+    @pytest.mark.parametrize("command", ["embed", "pool", "classify"])
+    def test_http_provider_is_closed_when_the_run_ends(
+        self, corpus_files, tmp_path, embed_endpoint, counted_providers, command
+    ):
+        train_path, test_path = corpus_files
+        url, seen, _ = embed_endpoint
+        flags = base_flags(tmp_path / "out")
+        flags[flags.index("hashed")] = url
+        flags[flags.index("16")] = "4"
+        pool = ["pool", "--train-dataset", str(train_path), "--pool-size", "24"]
+        # the runs, and the texts they embed: 45 training items, then 24 pool members and 12 queries
+        runs, texts = {
+            "embed": ([["embed", "--dataset", str(train_path), "--cache-dir", str(tmp_path / "cache")]], 45),
+            "pool": ([pool], 45),
+            "classify": ([pool, ["classify", "--dataset", str(test_path), "--train-dataset", str(train_path),
+                                 "--k", "4", "--mock", "nearest_demo"]], 45 + 24 + 12),
+        }[command]
+        for argv in runs:
+            assert main(argv + flags) == 0
+        assert counted_providers == {"built": len(runs), "closed": len(runs)}
+        assert len(seen) == texts
+
+    def test_http_provider_is_closed_when_the_run_fails(
+        self, corpus_files, tmp_path, embed_endpoint, counted_providers
+    ):
+        train_path, _ = corpus_files
+        url, seen, failures = embed_endpoint
+        failures.append((404, {}))
+        flags = base_flags(tmp_path / "out")
+        flags[flags.index("hashed")] = url
+        flags[flags.index("16")] = "4"
+        assert main(["pool", "--train-dataset", str(train_path)] + flags) == 1
+        assert counted_providers == {"built": 1, "closed": 1}
+        assert not (tmp_path / "out").exists()
+
+
 EMBEDDING_RECORD = {"id": "a", "fields_hash": "fh", "dim": 4, "tokens": [[1, 0, 0, 0]], "sentence": [1, 0, 0, 0]}
 BAD_EMBEDDING_LINES = [('{"id": "a", "dim', "malformed JSON"), ("[1, 2]", "expected a JSON object")] + [
     (json.dumps({k: v for k, v in EMBEDDING_RECORD.items() if k != key}), f"missing {key}")
@@ -586,7 +641,8 @@ class TestErrors:
         (json.dumps({key: value}), key)
         for key, value in [
             ("k", "4"), ("embed_dim", None), ("cot", "false"), ("fields", 3), ("max_in_flight", "2"),
-            ("char_budget", None), ("bootstrap_resamples", "10"), ("bootstrap_resamples", 0), ("label_scheme", ["x"]),
+            ("char_budget", None), ("char_budget", 0), ("char_budget", -1), ("bootstrap_resamples", "10"),
+            ("bootstrap_resamples", 0), ("label_scheme", ["x"]),
         ]
     ] + [('["k"]', None), ("{k: 4", None)]
 
@@ -603,6 +659,59 @@ class TestErrors:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
         assert (key if key is not None else str(cfg_path)) in err
+
+    @pytest.mark.parametrize("probe_size", ["0", "-3"])
+    def test_nonpositive_probe_size_is_a_clean_exit(self, corpus_files, tmp_path, capsys, probe_size):
+        train_path, _ = corpus_files
+        argv = ["pool", "--train-dataset", str(train_path), "--probe-size", probe_size]
+        assert main(argv + base_flags(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: CoverageError: probe size must be positive, got {probe_size}\n"
+
+    # a malformed LLM_BASE_URL, a zero timeout against a live endpoint and an
+    # https endpoint whose CA bundle is missing, each refused before any work
+    @pytest.mark.parametrize("case", ["url", "timeout", "ca_bundle"])
+    @pytest.mark.parametrize("command", ["classify", "ablate"])
+    def test_bad_endpoint_stops_the_run_before_any_work(
+        self, corpus_files, tmp_path, capsys, monkeypatch, fake_endpoint, command, case
+    ):
+        train_path, test_path = corpus_files
+        missing = str(tmp_path / "missing.pem")
+        base_url, config, named = {
+            "url": ("http//typo.example", {}, "invalid URL 'http//typo.example/v1/chat/completions'"),
+            "timeout": (fake_endpoint, {"timeout": 0}, "timeout must be a positive number of seconds, got 0"),
+            "ca_bundle": (fake_endpoint.replace("http:", "https:"), {}, f"CA bundle {missing!r} does not load"),
+        }[case]
+        monkeypatch.setenv("LLM_BASE_URL", base_url)
+        if case == "ca_bundle":
+            monkeypatch.setenv("REQUESTS_CA_BUNDLE", missing)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        work = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: work.append("load_dataset"))
+        monkeypatch.setattr(cli, "load_provider", lambda *args: work.append("load_provider"))
+        out = tmp_path / "out"
+        argv = [command, "--dataset", str(test_path), "--train-dataset", str(train_path), "--config", str(cfg_path)]
+        argv += ["--k", "4"] if command == "classify" else []
+        assert main(argv + base_flags(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and named in err
+        assert len(err.strip().splitlines()) == 1
+        assert work == [] and not out.exists()
+        assert FakeEndpoint.requests_seen == []
+
+    def test_bad_embedding_url_stops_classify_before_any_work(self, corpus_files, tmp_path, capsys, monkeypatch):
+        train_path, test_path = corpus_files
+        reads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: reads.append(args))
+        flags = base_flags(tmp_path / "out")
+        flags[flags.index("hashed")] = "http:typo.example"
+        argv = ["classify", "--dataset", str(test_path), "--train-dataset", str(train_path), "--k", "4",
+                "--mock", "nearest_demo"]
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: invalid URL 'typo.example'")
+        assert len(err.strip().splitlines()) == 1
+        assert reads == [] and not (tmp_path / "out").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -484,54 +484,6 @@ BAD_REPLIES = [(b"[1, 2]", "expected a JSON object")] + [
 
 
 class TestHttpProvider:
-    @pytest.fixture
-    def embed_endpoint(self):
-        import json as json_module
-        import threading
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        requests_seen = []
-        # answered, in order, before the first 200: (status, headers), or
-        # "truncated" for a 200 whose body stops short of its Content-Length,
-        # or "notjson" for a 200 whose body is not JSON, or bytes for a 200
-        # with that body
-        failures = []
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                body = json_module.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                requests_seen.append(body)
-                failure = failures.pop(0) if failures else None
-                if isinstance(failure, tuple):
-                    status, headers = failure
-                    self.send_response(status)
-                    for name, value in headers.items():
-                        self.send_header(name, value)
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
-                    return
-                ts = TokenEmbeddingSet.from_raw("x", 4, np.eye(4)[:2], np.eye(4)[0])
-                payload = json_module.dumps(
-                    {"dim": 4, "tokens": ts.token_vectors.tolist(), "sentence": ts.sentence_vector.tolist()}
-                ).encode()
-                if failure == "notjson":
-                    payload = b"<html>upstream error</html>"
-                elif isinstance(failure, bytes):
-                    payload = failure
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(payload) + (10 if failure == "truncated" else 0)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        yield f"http://127.0.0.1:{server.server_address[1]}/embed", requests_seen, failures
-        server.shutdown()
-        server.server_close()
-
     def test_wire_format(self, embed_endpoint):
         url, seen, _ = embed_endpoint
         provider = HttpProvider(url, dim=4)
@@ -594,13 +546,18 @@ class TestHttpProvider:
         assert len(seen) == 1
         assert sleeps == []
 
-    @pytest.mark.parametrize("url", ["127.0.0.1:9/embed", "http://", "ftp://127.0.0.1:9/embed"])
-    def test_malformed_url_fails_at_once(self, url, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
-        with pytest.raises(ProviderUnreachableError, match="request failed"):
-            HttpProvider(url, dim=4).fetch("a", "fh", "text")
-        assert sleeps == []
+    # {addr} is the live embedding endpoint, so a request that got out would be seen
+    @pytest.mark.parametrize(
+        "url", ["{addr}/embed", "http://", "ftp://{addr}/embed", "http://127.0.0.1:port", "http://{addr}/a b"]
+    )
+    def test_malformed_url_is_refused_when_the_provider_is_made(self, embed_endpoint, url):
+        endpoint, seen, _ = embed_endpoint
+        url = url.format(addr=endpoint.removeprefix("http://").removesuffix("/embed"))
+        with pytest.raises(ValueError, match=re.escape(f"invalid URL {url!r}")):
+            HttpProvider(url, dim=4)
+        with pytest.raises(ValueError, match=re.escape(f"invalid URL {url!r}")):
+            load_provider("http:" + url, 4)
+        assert seen == []
 
     def test_unreachable_raises_after_retries(self):
         provider = HttpProvider("http://127.0.0.1:9", dim=4, timeout=0.2, retries=1)

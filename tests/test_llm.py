@@ -1,6 +1,8 @@
 import base64
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ideolab.corpus import Ideology
+from ideolab.embedding import HttpProvider
 from ideolab.llm import (
     CLARIFICATION,
     ChatCompletionsClient,
@@ -353,14 +356,16 @@ class TestHttpClient:
         assert len(sleeps) == 1
         assert 1.0 <= sleeps[0] <= 1.25  # first backoff step, base 1s plus up to 25% jitter
 
-    @pytest.mark.parametrize("base_url", ["127.0.0.1:9", "http://", "ftp://127.0.0.1:9", "http://127.0.0.1:port"])
-    def test_malformed_url_fails_at_once(self, base_url):
-        cfg = LLMConfig(base_url=base_url)
-        sleeps = []
-        record = classify(prompt_with_demos([]), cfg, ChatCompletionsClient(cfg), query_id="q", sleep=sleeps.append)
-        assert record.parse_status == "transport_error"
-        assert record.attempts == 1
-        assert sleeps == []
+    # {addr} is the live fake endpoint, so a request that got out would be seen
+    @pytest.mark.parametrize(
+        "base_url", ["{addr}", "http://", "ftp://{addr}", "http://127.0.0.1:port", "http://{addr}/a b"]
+    )
+    def test_malformed_url_is_refused_when_the_client_is_made(self, fake_endpoint, base_url):
+        base_url = base_url.format(addr=fake_endpoint.removeprefix("http://"))
+        url = base_url.rstrip("/") + "/v1/chat/completions"
+        with pytest.raises(ValueError, match=re.escape(f"invalid URL {url!r}")):
+            ChatCompletionsClient(LLMConfig(base_url=base_url))
+        assert FakeEndpoint.requests_seen == []
 
     def test_broken_body_is_a_transport_error_not_a_lost_batch(self, fake_endpoint, make_client):
         FakeEndpoint.choose = lambda body: "truncated" if "Title: q2" in body["messages"][-1]["content"] else "ok"
@@ -390,6 +395,13 @@ class TestHttpClient:
         assert {r.parse_status for r in records} <= {"ok", "transport_error"}
         assert all((r.pred is L) == (r.parse_status == "ok") for r in records)
         assert sum(r.attempts for r in records) == len(FakeEndpoint.requests_seen)
+
+
+# both HTTP clients, made from a URL and a timeout
+HTTP_CLIENTS = {
+    "chat": lambda url, timeout: ChatCompletionsClient(LLMConfig(base_url=url, timeout=timeout)),
+    "embedding": lambda url, timeout: HttpProvider(url, dim=4, timeout=timeout),
+}
 
 
 class TestConnectionPool:
@@ -472,14 +484,22 @@ class TestConnectionPool:
         assert record.parse_status == "ok"
         assert len(FakeEndpoint.requests_seen) == 1
 
-    def test_missing_ca_bundle_fails_at_once(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "missing.pem"))
-        cfg = LLMConfig(base_url="https://127.0.0.1:9")
-        sleeps = []
-        record = classify(prompt_with_demos([]), cfg, ChatCompletionsClient(cfg), query_id="q", sleep=sleeps.append)
-        assert record.parse_status == "transport_error"
-        assert "CA bundle" in record.raw_response
-        assert (record.attempts, sleeps) == (1, [])
+    @pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
+    @pytest.mark.parametrize("make", HTTP_CLIENTS.values(), ids=HTTP_CLIENTS.keys())
+    def test_missing_ca_bundle_is_refused_when_made(self, fake_endpoint, tmp_path, monkeypatch, make, variable):
+        missing = str(tmp_path / "missing.pem")
+        monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+        monkeypatch.setenv(variable, missing)
+        with pytest.raises(ValueError, match=re.escape(f"CA bundle {missing!r} does not load")):
+            make(fake_endpoint.replace("http://", "https://"), 30.0)
+        assert FakeEndpoint.requests_seen == []
+
+    @pytest.mark.parametrize("timeout", [0, -1, math.inf, math.nan])
+    @pytest.mark.parametrize("make", HTTP_CLIENTS.values(), ids=HTTP_CLIENTS.keys())
+    def test_timeout_outside_zero_to_infinity_is_refused(self, fake_endpoint, make, timeout):
+        message = f"timeout must be a positive number of seconds, got {timeout}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make(fake_endpoint, timeout)
 
     def test_runs_without_requests_installed(self, fake_endpoint):
         script = (
