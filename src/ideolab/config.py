@@ -58,6 +58,9 @@ class RunConfig:
             kinds = (int, float) if type(default) is float else type(default)
             if not isinstance(value, kinds) or isinstance(value, bool) != isinstance(default, bool):
                 raise ValueError(f"config key {field.name!r} must be {type(default).__name__}, got {value!r}")
+        # checked here, not only in evaluation.score, so ablate refuses it before any cell is written
+        if self.bootstrap_resamples < 1:
+            raise ValueError(f"bootstrap_resamples must be at least 1, got {self.bootstrap_resamples}")
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)

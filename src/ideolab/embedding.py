@@ -37,6 +37,8 @@ from .prompting import FieldConfig, render_fields_text
 logger = logging.getLogger(__name__)
 
 NORM_TOLERANCE = 1e-4
+_HTTP_TIMEOUT_S = 30.0  # per request to an embedding service
+_HTTP_RETRIES = 3
 
 
 class EmbeddingError(ValueError):
@@ -253,21 +255,22 @@ class HttpProvider:
     The response body mirrors a precomputed-file record minus the ids:
     {"dim": int, "tokens": [[...], ...], "sentence": [...]}. Connections
     are kept alive in one pool that the workers of :func:`embed_many` share.
-    The URL, proxy route, CA bundle and timeout are fixed and checked when
-    the provider is made, so a bad one raises ``ValueError`` here.
+    The URL, proxy route and CA bundle are fixed and checked when the
+    provider is made, so a bad one raises ``ValueError`` here. Each request
+    times out after ``_HTTP_TIMEOUT_S`` and is retried up to ``_HTTP_RETRIES``
+    times.
     """
 
     kind = "http_service"
 
-    def __init__(self, url: str, dim: int, timeout: float = 30.0, retries: int = 3):
+    def __init__(self, url: str, dim: int):
         self.url = url
         self.spec = url
         self.dim = dim
-        self.retries = retries
-        self._pool = _ConnectionPool(url, timeout)
+        self._pool = _ConnectionPool(url, _HTTP_TIMEOUT_S)
 
     def fetch(self, item_id: str, fields_hash: str, text: str):
-        raw, _, error = _retry(lambda: self._pool.post({"text": text}), self.retries, time.sleep)
+        raw, _, error = _retry(lambda: self._pool.post({"text": text}), _HTTP_RETRIES, time.sleep)
         if error is not None:
             raise ProviderUnreachableError(f"{self.url}: {error}") from error
         # a malformed reply is not retried: the same request fails again

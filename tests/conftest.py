@@ -35,18 +35,26 @@ def basis():
     return eye[0], eye[1], eye[2]
 
 
+CHAT_REPLY = json.dumps({"choices": [{"message": {"content": "The answer is liberal"}}]}).encode()
+EMBED_REPLY = json.dumps({"dim": 4, "tokens": [[1, 0, 0, 0], [0, 1, 0, 0]], "sentence": [1, 0, 0, 0]}).encode()
+
+
 class FakeEndpoint(BaseHTTPRequestHandler):
-    """A keep-alive chat-completions endpoint that injects faults on request.
+    """A keep-alive chat-completions and embedding service that injects faults on request.
 
-    Each request takes the next action of ``behavior`` (the last one
-    repeats), or ``choose(body)`` when that is set:
+    A POST to a path ending in ``/embed`` is answered with ``EMBED_REPLY``
+    (``{"dim": 4, "tokens", "sentence"}``, two tokens), any other with
+    ``CHAT_REPLY`` (a chat completion whose answer is "liberal"). Each
+    request takes the next action of ``behavior`` (the last one repeats),
+    or ``choose(body)`` when that is set:
 
-    - ``ok``: a 200 whose answer is "liberal"
-    - ``429`` / ``429:<Retry-After>``: rate limited, without / with the header
-    - ``500``: a server error
+    - ``ok``: a 200 with the path's reply
+    - ``<code>`` / ``<code>:<Retry-After>``: that status and an empty body,
+      without / with the header (``429``, ``500``, ``404``, ...)
     - ``truncated``: a ``Content-Length`` larger than the bytes sent, then
       the socket closes
     - ``notjson``: a 200 whose body is not JSON
+    - raw ``bytes``: a 200 with that body
     - ``drop``: the connection closes with no response
     - ``slow:<s>``: an ok reply after ``<s>`` seconds
     - ``close``: an ok reply, then the server closes the connection without
@@ -77,24 +85,22 @@ class FakeEndpoint(BaseHTTPRequestHandler):
             action = cls.choose(body)
         else:
             action = cls.behavior.pop(0) if len(cls.behavior) > 1 else cls.behavior[0]
-        if action.startswith("429"):  # "429" or "429:<Retry-After value>"
-            self.send_response(429)
-            if action.startswith("429:"):
-                self.send_header("Retry-After", action.partition(":")[2])
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
-        if action == "500":
-            self.send_response(500)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
+        raw = EMBED_REPLY if self.path.endswith("/embed") else CHAT_REPLY
+        if isinstance(action, bytes):
+            action, raw = "ok", action
         if action == "drop":
             self.close_connection = True
             return
-        if action.startswith("slow:"):
-            time.sleep(float(action.partition(":")[2]))
-        raw = json.dumps({"choices": [{"message": {"content": "The answer is liberal"}}]}).encode()
+        head, sep, arg = action.partition(":")
+        if head.isdigit():
+            self.send_response(int(head))
+            if sep:
+                self.send_header("Retry-After", arg)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        if head == "slow":
+            time.sleep(float(arg))
         if action == "notjson":
             raw = b"<html>upstream error</html>"
         self.send_response(200)
@@ -118,63 +124,23 @@ class FakeEndpoint(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def fake_endpoint():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), FakeEndpoint)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    """Base URL of a fresh FakeEndpoint server, shut down at teardown.
+
+    The short poll interval lets ``shutdown`` return at once instead of
+    waiting out the default 0.5 s poll.
+    """
     FakeEndpoint.requests_seen = []
     FakeEndpoint.behavior = ["ok"]
     FakeEndpoint.choose = None
     FakeEndpoint.closed = threading.Semaphore(0)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), FakeEndpoint)
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
-    thread.join(timeout=10)
 
 
 @pytest.fixture
-def embed_endpoint():
-    import json as json_module
-    import threading
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    requests_seen = []
-    # answered, in order, before the first 200: (status, headers), or
-    # "truncated" for a 200 whose body stops short of its Content-Length,
-    # or "notjson" for a 200 whose body is not JSON, or bytes for a 200
-    # with that body
-    failures = []
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            body = json_module.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            requests_seen.append(body)
-            failure = failures.pop(0) if failures else None
-            if isinstance(failure, tuple):
-                status, headers = failure
-                self.send_response(status)
-                for name, value in headers.items():
-                    self.send_header(name, value)
-                self.send_header("Content-Length", "0")
-                self.end_headers()
-                return
-            ts = TokenEmbeddingSet.from_raw("x", 4, np.eye(4)[:2], np.eye(4)[0])
-            payload = json_module.dumps(
-                {"dim": 4, "tokens": ts.token_vectors.tolist(), "sentence": ts.sentence_vector.tolist()}
-            ).encode()
-            if failure == "notjson":
-                payload = b"<html>upstream error</html>"
-            elif isinstance(failure, bytes):
-                payload = failure
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(payload) + (10 if failure == "truncated" else 0)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/embed", requests_seen, failures
-    server.shutdown()
-    server.server_close()
+def embed_endpoint(fake_endpoint):
+    """URL of the FakeEndpoint's embedding service."""
+    return fake_endpoint + "/embed"

@@ -403,9 +403,8 @@ class TestOneProviderPerRun:
         self, corpus_files, tmp_path, embed_endpoint, counted_providers, command
     ):
         train_path, test_path = corpus_files
-        url, seen, _ = embed_endpoint
         flags = base_flags(tmp_path / "out")
-        flags[flags.index("hashed")] = url
+        flags[flags.index("hashed")] = embed_endpoint
         flags[flags.index("16")] = "4"
         pool = ["pool", "--train-dataset", str(train_path), "--pool-size", "24"]
         # the runs, and the texts they embed: 45 training items, then 24 pool members and 12 queries
@@ -418,16 +417,15 @@ class TestOneProviderPerRun:
         for argv in runs:
             assert main(argv + flags) == 0
         assert counted_providers == {"built": len(runs), "closed": len(runs)}
-        assert len(seen) == texts
+        assert len(FakeEndpoint.requests_seen) == texts
 
     def test_http_provider_is_closed_when_the_run_fails(
         self, corpus_files, tmp_path, embed_endpoint, counted_providers
     ):
         train_path, _ = corpus_files
-        url, seen, failures = embed_endpoint
-        failures.append((404, {}))
+        FakeEndpoint.behavior = ["404", "ok"]
         flags = base_flags(tmp_path / "out")
-        flags[flags.index("hashed")] = url
+        flags[flags.index("hashed")] = embed_endpoint
         flags[flags.index("16")] = "4"
         assert main(["pool", "--train-dataset", str(train_path)] + flags) == 1
         assert counted_providers == {"built": 1, "closed": 1}
@@ -659,6 +657,7 @@ class TestErrors:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
         assert (key if key is not None else str(cfg_path)) in err
+        assert not list(out.glob("k*_*"))  # refused before any cell is written
 
     @pytest.mark.parametrize("probe_size", ["0", "-3"])
     def test_nonpositive_probe_size_is_a_clean_exit(self, corpus_files, tmp_path, capsys, probe_size):

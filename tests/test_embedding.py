@@ -25,6 +25,8 @@ from ideolab.embedding import (
 )
 from ideolab.prompting import FieldConfig
 
+from conftest import FakeEndpoint
+
 TITLE = FieldConfig()
 TITLE_SOURCE = FieldConfig(include_source=True)
 
@@ -483,67 +485,75 @@ BAD_REPLIES = [(b"[1, 2]", "expected a JSON object")] + [
 ]
 
 
-class TestHttpProvider:
-    def test_wire_format(self, embed_endpoint):
-        url, seen, _ = embed_endpoint
-        provider = HttpProvider(url, dim=4)
-        ts = embed_item(item(), TITLE, provider)
-        assert ts.dim == 4
-        assert seen[0] == {"text": "budget vote delayed again"}
+@pytest.fixture
+def make_provider():
+    """HttpProvider factory whose providers' connections close at teardown."""
+    providers = []
 
-    def test_dim_mismatch_from_service(self, embed_endpoint):
-        url, _, _ = embed_endpoint
-        provider = HttpProvider(url, dim=8)
+    def make(url, dim=4):
+        providers.append(HttpProvider(url, dim))
+        return providers[-1]
+
+    yield make
+    for provider in providers:
+        provider.close()
+
+
+class TestHttpProvider:
+    def test_wire_format(self, embed_endpoint, make_provider):
+        ts = embed_item(item(), TITLE, make_provider(embed_endpoint))
+        assert ts.dim == 4
+        assert FakeEndpoint.requests_seen[0]["body"] == {"text": "budget vote delayed again"}
+
+    def test_dim_mismatch_from_service(self, embed_endpoint, make_provider):
+        provider = make_provider(embed_endpoint, dim=8)
         with pytest.raises(DimensionMismatchError):
             embed_item(item(), TITLE, provider)
 
-    def test_broken_body_is_retried(self, embed_endpoint, monkeypatch):
-        url, calls, failures = embed_endpoint
-        failures.append("truncated")
+    def test_broken_body_is_retried(self, embed_endpoint, make_provider, monkeypatch):
+        FakeEndpoint.behavior = ["truncated", "ok"]
         monkeypatch.setattr("ideolab.embedding.time.sleep", lambda _: None)
-        tokens, _ = HttpProvider(url, dim=4, retries=1).fetch("a", "fh", "text")
+        tokens, _ = make_provider(embed_endpoint).fetch("a", "fh", "text")
         assert tokens.shape == (2, 4)
-        assert len(calls) == 2
+        assert len(FakeEndpoint.requests_seen) == 2
 
-    def test_undecodable_body_is_not_retried(self, embed_endpoint, monkeypatch):
-        url, seen, failures = embed_endpoint
-        failures.append("notjson")
+    def test_undecodable_body_is_not_retried(self, embed_endpoint, make_provider, monkeypatch):
+        FakeEndpoint.behavior = ["notjson", "ok"]
         sleeps = []
         monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
         with pytest.raises(ValueError):
-            HttpProvider(url, dim=4).fetch("a", "fh", "text")
-        assert len(seen) == 1
+            make_provider(embed_endpoint).fetch("a", "fh", "text")
+        assert len(FakeEndpoint.requests_seen) == 1
         assert sleeps == []
 
     @pytest.mark.parametrize("reply,reason", BAD_REPLIES, ids=[reason for _, reason in BAD_REPLIES])
-    def test_malformed_reply_is_not_retried_and_names_the_url(self, embed_endpoint, monkeypatch, reply, reason):
-        url, seen, failures = embed_endpoint
-        failures.append(reply)
+    def test_malformed_reply_is_not_retried_and_names_the_url(
+        self, embed_endpoint, make_provider, monkeypatch, reply, reason
+    ):
+        FakeEndpoint.behavior = [reply, "ok"]
         sleeps = []
         monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
-        with pytest.raises(EmbeddingError, match=re.escape(f"{url}: reply for 'a': {reason}")):
-            HttpProvider(url, dim=4).fetch("a", "fh", "text")
-        assert len(seen) == 1
+        with pytest.raises(EmbeddingError, match=re.escape(f"{embed_endpoint}: reply for 'a': {reason}")):
+            make_provider(embed_endpoint).fetch("a", "fh", "text")
+        assert len(FakeEndpoint.requests_seen) == 1
         assert sleeps == []
 
-    def test_rate_limit_honours_retry_after(self, embed_endpoint, monkeypatch):
-        url, seen, failures = embed_endpoint
-        failures.append((429, {"Retry-After": "0"}))
+    def test_rate_limit_honours_retry_after(self, embed_endpoint, make_provider, monkeypatch):
+        FakeEndpoint.behavior = ["429:0", "ok"]
         sleeps = []
         monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
-        tokens, _ = HttpProvider(url, dim=4).fetch("a", "fh", "text")
+        tokens, _ = make_provider(embed_endpoint).fetch("a", "fh", "text")
         assert tokens.shape == (2, 4)
-        assert len(seen) == 2
+        assert len(FakeEndpoint.requests_seen) == 2
         assert sleeps == [0.0]
 
-    def test_client_error_is_not_retried(self, embed_endpoint, monkeypatch):
-        url, seen, failures = embed_endpoint
-        failures.append((404, {}))
+    def test_client_error_is_not_retried(self, embed_endpoint, make_provider, monkeypatch):
+        FakeEndpoint.behavior = ["404", "ok"]
         sleeps = []
         monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
         with pytest.raises(ProviderUnreachableError, match="HTTP 404"):
-            HttpProvider(url, dim=4).fetch("a", "fh", "text")
-        assert len(seen) == 1
+            make_provider(embed_endpoint).fetch("a", "fh", "text")
+        assert len(FakeEndpoint.requests_seen) == 1
         assert sleeps == []
 
     # {addr} is the live embedding endpoint, so a request that got out would be seen
@@ -551,18 +561,19 @@ class TestHttpProvider:
         "url", ["{addr}/embed", "http://", "ftp://{addr}/embed", "http://127.0.0.1:port", "http://{addr}/a b"]
     )
     def test_malformed_url_is_refused_when_the_provider_is_made(self, embed_endpoint, url):
-        endpoint, seen, _ = embed_endpoint
-        url = url.format(addr=endpoint.removeprefix("http://").removesuffix("/embed"))
+        url = url.format(addr=embed_endpoint.removeprefix("http://").removesuffix("/embed"))
         with pytest.raises(ValueError, match=re.escape(f"invalid URL {url!r}")):
             HttpProvider(url, dim=4)
         with pytest.raises(ValueError, match=re.escape(f"invalid URL {url!r}")):
             load_provider("http:" + url, 4)
-        assert seen == []
+        assert FakeEndpoint.requests_seen == []
 
-    def test_unreachable_raises_after_retries(self):
-        provider = HttpProvider("http://127.0.0.1:9", dim=4, timeout=0.2, retries=1)
+    def test_unreachable_raises_after_retries(self, make_provider, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
         with pytest.raises(ProviderUnreachableError):
-            provider.fetch("a", "fh", "text")
+            make_provider("http://127.0.0.1:9").fetch("a", "fh", "text")
+        assert len(sleeps) == 3
 
 
 def test_load_provider_specs(tmp_path):
