@@ -640,7 +640,7 @@ class TestErrors:
         for key, value in [
             ("k", "4"), ("embed_dim", None), ("cot", "false"), ("fields", 3), ("max_in_flight", "2"),
             ("char_budget", None), ("char_budget", 0), ("char_budget", -1), ("bootstrap_resamples", "10"),
-            ("bootstrap_resamples", 0), ("label_scheme", ["x"]),
+            ("bootstrap_resamples", 0), ("bootstrap_resamples", -1), ("label_scheme", ["x"]),
         ]
     ] + [('["k"]', None), ("{k: 4", None)]
 

@@ -547,6 +547,36 @@ class TestHttpProvider:
         assert len(FakeEndpoint.requests_seen) == 2
         assert sleeps == [0.0]
 
+    @pytest.mark.parametrize("fault", ["500", "drop"])
+    def test_server_error_or_dropped_connection_is_retried(self, embed_endpoint, make_provider, monkeypatch, fault):
+        FakeEndpoint.behavior = [fault, "ok"]
+        sleeps = []
+        monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
+        tokens, _ = make_provider(embed_endpoint).fetch("a", "fh", "text")
+        assert tokens.shape == (2, 4)
+        assert len(FakeEndpoint.requests_seen) == 2
+        assert len(sleeps) == 1
+
+    def test_connection_is_kept_alive_across_fetches(self, embed_endpoint, make_provider):
+        provider = make_provider(embed_endpoint)
+        for text in ("a", "b", "c"):
+            provider.fetch(text, "fh", text)
+        assert len(FakeEndpoint.requests_seen) == 3
+        assert len({seen["port"] for seen in FakeEndpoint.requests_seen}) == 1
+
+    def test_connection_closed_by_the_server_is_replaced_before_use(self, embed_endpoint, make_provider, monkeypatch):
+        FakeEndpoint.behavior = ["close"]
+        sleeps = []
+        monkeypatch.setattr("ideolab.embedding.time.sleep", sleeps.append)
+        provider = make_provider(embed_endpoint)
+        for text in ("a", "b", "c"):
+            tokens, _ = provider.fetch(text, "fh", text)
+            assert tokens.shape == (2, 4)
+            assert FakeEndpoint.closed.acquire(timeout=10)
+        assert len(FakeEndpoint.requests_seen) == 3
+        assert len({seen["port"] for seen in FakeEndpoint.requests_seen}) == 3
+        assert sleeps == []
+
     def test_client_error_is_not_retried(self, embed_endpoint, make_provider, monkeypatch):
         FakeEndpoint.behavior = ["404", "ok"]
         sleeps = []
