@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .config import RunConfig
-from .corpus import LabelMapping, _json_rows, load_dataset, write_dataset
+from .corpus import LabelMapping, _read_jsonl, _write_json, _write_jsonl, load_dataset, write_dataset
 from .coverage import CandidatePool, build_candidate_pool, order_for_query
 from .embedding import EmbeddingCache, ProviderUnreachableError, embed_many, load_provider
 from .evaluation import EvalReport, mcnemar, score
@@ -41,29 +41,14 @@ def derive_seed(master_seed: int, tag: str) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def _write_jsonl(path: Path, header: Optional[dict], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
 def _read_predictions(path) -> tuple[dict, list[PredictionRecord]]:
-    rows = _json_rows(path, CliError)
-    _, header = next(rows, (None, None))
+    def check_header(header: dict) -> None:
+        if header.get("kind") != "predictions":
+            raise ValueError("missing predictions header line")
+
+    header, records = _read_jsonl(path, CliError, lambda row, _: PredictionRecord.from_json_dict(row), check_header)
     if header is None:
         raise CliError(f"{path}: empty predictions file")
-    if header.get("kind") != "predictions":
-        raise CliError(f"{path}: missing predictions header line")
-    records = []
-    for lineno, row in rows:
-        try:
-            records.append(PredictionRecord.from_json_dict(row))
-        except KeyError as exc:
-            raise CliError(f"{path}: line {lineno}: prediction row lacks field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"{path}: line {lineno}: bad prediction row ({exc})") from None
     hashes = {r.config_hash for r in records} | {header.get("config_hash")}
     if len(hashes) != 1:
         raise CliError(f"{path}: mixed config hashes in predictions: {sorted(map(str, hashes))}")
@@ -91,9 +76,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _dump_effective_config(cfg: RunConfig, out: Path) -> None:
     payload = dict(cfg.to_json_dict(), config_hash=cfg.config_hash)
-    (out / "effective_config.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "effective_config.json", payload)
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -106,9 +89,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     for item in items:
         counts[item.label.wire if item.label is not None else "unlabeled"] += 1
     summary = {"config_hash": cfg.config_hash, "n_items": len(items), "label_counts": counts}
-    (out / "ingest_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "ingest_summary.json", summary)
     _dump_effective_config(cfg, out)
     print(f"ingested {len(items)} items -> {out / 'ingested.jsonl'} ({counts})")
     return 0
@@ -287,9 +268,7 @@ def run_eval(cfg: RunConfig, predictions_path) -> EvalReport:
         bootstrap_resamples=cfg.bootstrap_resamples,
         seed=cfg.seed,
     )
-    (_out_dir(cfg) / "report.json").write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(_out_dir(cfg) / "report.json", report.to_json_dict())
     return report
 
 
@@ -314,11 +293,10 @@ def cmd_compare(path_a: str, path_b: str, exact: bool, out: Optional[str]) -> in
         "c": result.c,
         "stars": result.stars,
     }
-    text = json.dumps(payload, sort_keys=True)
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+        _write_jsonl(out, None, [payload])  # the one line printed below
+    print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -347,9 +325,7 @@ def cmd_ablate(cfg: RunConfig, dump_prompts: bool = False) -> int:
         )
         print(f"k={cell_cfg.k:<3} fields={cell_cfg.fields:<18} accuracy={report.accuracy:.4f}")
     summary = {"config_hash": cfg.config_hash, "cells": cells}
-    (_out_dir(cfg) / "ablation_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(_out_dir(cfg) / "ablation_summary.json", summary)
     print(f"wrote {len(cells)} reports under {base_out}")
     return 0
 

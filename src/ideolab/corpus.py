@@ -1,4 +1,4 @@
-"""Dataset ingestion, ideology label mapping, and subset slicing.
+"""Dataset ingestion, label mapping, subset slicing, and JSON/JSONL artifact I/O.
 
 Datasets are JSONL files with one content item per line:
 
@@ -13,11 +13,14 @@ scale (converted through a :class:`LabelMapping`), or both.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional
+from pathlib import Path
+from typing import Callable, Iterable, NamedTuple, Optional
 
 
 class DatasetError(ValueError):
@@ -38,10 +41,10 @@ class Ideology(enum.IntEnum):
 
     @classmethod
     def from_string(cls, value: str) -> "Ideology":
-        try:
-            return cls[value.strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown ideology label: {value!r}") from None
+        name = value.strip().upper() if isinstance(value, str) else None
+        if name not in cls.__members__:
+            raise ValueError(f"unknown ideology label: {value!r}")
+        return cls[name]
 
     @property
     def wire(self) -> str:
@@ -140,49 +143,93 @@ def _json_object(text, where: str, error: type[Exception]) -> dict:
     return obj
 
 
-def _json_rows(path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, object) for each nonblank line of a JSONL file.
-
-    A line that is not a JSON object raises ``error`` naming the file and line.
-    """
+def _read_jsonl(
+    path, error: type[Exception], parse: Callable[[dict, int], object], header: Optional[Callable] = None
+) -> tuple[Optional[dict], list]:
+    """(header or None, rows) of a JSONL file. ``header``, when given, checks the
+    first nonblank line; ``parse(obj, lineno)`` makes a row of each other one.
+    A line that is not a JSON object, or whose check or parse raises KeyError,
+    TypeError or ValueError, raises ``error("<path>: line <n>: ...")``."""
+    head, rows = None, []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield lineno, _json_object(line, f"{path}: line {lineno}", error)
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
+            obj = _json_object(line, where, error)
+            try:
+                if header is not None and head is None:
+                    header(obj)
+                    head = obj
+                else:
+                    rows.append(parse(obj, lineno))
+            except KeyError as exc:
+                raise error(f"{where}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise error(f"{where}: {exc}") from None
+    return head, rows
 
 
-def _parse_item(obj: dict, lineno: int, schema: LabelMapping) -> ContentItem:
+def _replace_file(path, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks`` to a temporary file beside ``path``,
+    then rename it over ``path``: a run killed mid-write leaves the old file
+    or none, never part of one. If anything raises, the temporary file is
+    removed. There is no fsync, so this does not survive a power loss."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_jsonl(path, header: Optional[dict], rows: Iterable[dict]) -> None:
+    """Replace ``path`` with an optional header line, then one line per row; keys sorted."""
+    objs = itertools.chain([] if header is None else [header], rows)
+    _replace_file(path, (json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n" for obj in objs))
+
+
+def _write_json(path, obj) -> None:
+    """Replace ``path`` with ``obj`` as indented JSON, keys sorted, and a final newline."""
+    _replace_file(path, [json.dumps(obj, sort_keys=True, indent=2).encode("utf-8") + b"\n"])
+
+
+def _parse_item(obj: dict, lineno: int, schema: LabelMapping, seen: dict[str, int]) -> ContentItem:
+    """The item on line ``lineno``; ``seen`` maps each id read so far to its line."""
     item_id = obj.get("id")
     if not isinstance(item_id, str) or not item_id:
-        raise DatasetError(f"line {lineno}: missing or empty id")
+        raise DatasetError("missing or empty id")
+    if seen.setdefault(item_id, lineno) != lineno:
+        raise DatasetError(f"duplicate id {item_id!r} (first seen at line {seen[item_id]})")
     title = obj.get("title")
     if not isinstance(title, str) or not title.strip():
-        raise DatasetError(f"line {lineno}: missing title for id {item_id!r}")
+        raise DatasetError(f"missing title for id {item_id!r}")
+    for key in ("source", "description"):
+        if not isinstance(obj.get(key), (str, type(None))):
+            raise DatasetError(f"{key} must be a string or null for id {item_id!r}")
 
     label = None
     if obj.get("label") is not None:
-        try:
-            label = Ideology.from_string(obj["label"])
-        except ValueError as exc:
-            raise DatasetError(f"line {lineno}: {exc}") from None
+        label = Ideology.from_string(obj["label"])
 
     score = obj.get("score")
     if score is not None:
         if not isinstance(score, (int, float)):
-            raise DatasetError(f"line {lineno}: score must be numeric")
+            raise DatasetError("score must be numeric")
         score = float(score)
 
     if label is None and score is None:
-        raise DatasetError(f"line {lineno}: item {item_id!r} has neither label nor score")
+        raise DatasetError(f"item {item_id!r} has neither label nor score")
     if label is None and score is not None and schema.scheme != "direct":
-        try:
-            label = map_label(score, schema)
-        except ValueError as exc:
-            raise DatasetError(f"line {lineno}: {exc}") from None
+        label = map_label(score, schema)
 
     flags = obj.get("flags") or {}
     if not isinstance(flags, dict):
-        raise DatasetError(f"line {lineno}: flags must be an object or null")
+        raise DatasetError("flags must be an object or null")
 
     return ContentItem(
         id=item_id,
@@ -200,26 +247,15 @@ def load_dataset(path, schema: LabelMapping) -> list[ContentItem]:
     """Load a JSONL dataset, labeling scored items through ``schema``.
 
     Order-preserving and deterministic. Malformed lines, duplicate ids,
-    and missing titles abort with the offending line number.
+    and missing titles abort with the file and the offending line number.
     """
-    items: list[ContentItem] = []
     seen: dict[str, int] = {}
-    for lineno, obj in _json_rows(path, DatasetError):
-        item = _parse_item(obj, lineno, schema)
-        if item.id in seen:
-            raise DatasetError(
-                f"line {lineno}: duplicate id {item.id!r} (first seen at line {seen[item.id]})"
-            )
-        seen[item.id] = lineno
-        items.append(item)
-    return items
+    return _read_jsonl(path, DatasetError, lambda obj, lineno: _parse_item(obj, lineno, schema, seen))[1]
 
 
 def write_dataset(items: Iterable[ContentItem], path) -> None:
     """Write items as dataset JSONL (inverse of :func:`load_dataset`)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(item.to_json_dict(), sort_keys=True) + "\n")
+    _write_jsonl(path, None, (item.to_json_dict() for item in items))
 
 
 class FilterResult(NamedTuple):
@@ -277,11 +313,7 @@ class SourceIdeologyMap:
 
     @classmethod
     def load(cls, path) -> "SourceIdeologyMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise DatasetError(f"{path}: source map must be a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(_json_object(Path(path).read_text(encoding="utf-8"), str(path), DatasetError))
 
     def lookup(self, source: Optional[str]) -> Optional[Ideology]:
         if source is None:

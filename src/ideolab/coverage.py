@@ -19,14 +19,13 @@ guarantee relative to the optimal set of the same size and lazy
 from __future__ import annotations
 
 import heapq
-import json
 import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import ContentItem, Ideology, _json_rows
+from .corpus import ContentItem, Ideology, _read_jsonl, _write_jsonl
 from .embedding import TokenEmbeddingSet
 
 EMPTY_SET_COVERAGE = -1.0
@@ -143,36 +142,27 @@ class CandidatePool:
 
     def save(self, path, extra_header: Optional[dict] = None) -> None:
         """Write header line with build_config, then one row per entry."""
-        header = dict(extra_header or {})
-        header["build_config"] = self.build_config
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for rank, entry in enumerate(self.entries, start=1):
-                row = {
-                    "id": entry.item_id,
-                    "label": entry.label.wire,
-                    "rank": rank,
-                    "gain": entry.gain,
-                }
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        header = dict(extra_header or {}, build_config=self.build_config)
+        rows = (
+            {"id": entry.item_id, "label": entry.label.wire, "rank": rank, "gain": entry.gain}
+            for rank, entry in enumerate(self.entries, start=1)
+        )
+        _write_jsonl(path, header, rows)
 
     @classmethod
     def load(cls, path) -> "CandidatePool":
-        rows = _json_rows(path, CoverageError)
-        _, header = next(rows, (None, None))
+        def check_header(header: dict) -> None:
+            if "build_config" not in header:
+                raise ValueError("first line must be a build_config header")
+
+        def parse(row: dict, _lineno: int) -> tuple[int, PoolEntry]:
+            if not isinstance(row["id"], str):
+                raise TypeError(f"id must be a string, got {row['id']!r}")
+            return int(row["rank"]), PoolEntry(row["id"], Ideology.from_string(row["label"]), float(row["gain"]))
+
+        header, ranked = _read_jsonl(path, CoverageError, parse, check_header)
         if header is None:
             raise CoverageError(f"{path}: empty pool file")
-        if "build_config" not in header:
-            raise CoverageError(f"{path}: first line must be a build_config header")
-        ranked = []
-        for lineno, row in rows:
-            try:
-                entry = PoolEntry(row["id"], Ideology.from_string(row["label"]), float(row["gain"]))
-                ranked.append((int(row["rank"]), entry))
-            except KeyError as exc:
-                raise CoverageError(f"{path}: line {lineno}: pool row lacks field {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise CoverageError(f"{path}: line {lineno}: bad pool row ({exc})") from None
         ranked.sort(key=lambda pair: pair[0])
         return cls(entries=[entry for _, entry in ranked], build_config=header["build_config"])
 

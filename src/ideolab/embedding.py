@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import ContentItem, _json_object
+from .corpus import ContentItem, _json_object, _replace_file
 from .llm import _ConnectionPool, _retry
 from .prompting import FieldConfig, render_fields_text
 
@@ -335,13 +335,13 @@ class EmbeddingCache:
             "dim": embedding.dim,
             "n_tokens": embedding.n_tokens,
         }
+        chunks = (
+            json.dumps(header, sort_keys=True).encode("utf-8") + b"\n",
+            np.ascontiguousarray(embedding.token_vectors, dtype="<f8"),
+            np.ascontiguousarray(embedding.sentence_vector, dtype="<f8"),
+        )
         with self._lock:
-            tmp = path.with_suffix(f".tmp{os.getpid()}")
-            with open(tmp, "wb") as fh:
-                fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-                fh.write(np.ascontiguousarray(embedding.token_vectors, dtype="<f8"))
-                fh.write(np.ascontiguousarray(embedding.sentence_vector, dtype="<f8"))
-            os.replace(tmp, path)
+            _replace_file(path, chunks)
 
 
 def embed_item(item: ContentItem, fields: FieldConfig, provider) -> TokenEmbeddingSet:

@@ -104,6 +104,8 @@ class PredictionRecord:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "PredictionRecord":
+        if not isinstance(record["query_id"], str):
+            raise TypeError(f"query_id must be a string, got {record['query_id']!r}")
         return cls(
             query_id=record["query_id"],
             gold=Ideology.from_string(record["gold"]) if record.get("gold") else None,

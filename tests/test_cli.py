@@ -12,6 +12,7 @@ from ideolab import cli, embedding
 from ideolab.cli import _build_parser, derive_seed, main
 from ideolab.config import RunConfig
 from ideolab.corpus import write_dataset
+from ideolab.coverage import PoolEntry
 from ideolab.embedding import HashedProvider
 from ideolab.prompting import FIELD_GRID
 from ideolab.synthetic import synthetic_corpus
@@ -555,18 +556,25 @@ class TestErrors:
         assert str(path) in err and "line 2" in err and "'query_id'" in err
 
     # a row that is valid JSON but not an object, a truncated row, the same
-    # two faults on the header line, and a field of the wrong type or value:
-    # each names the file and its line
+    # two faults on the header line, a header of another kind, and a field of
+    # the wrong type or value: each names the file and its line
     BAD_ROWS = [(1, "[1, 2]"), (1, '{"kind": "predi'), (3, '"x"'), (3, "[1, 2]"), (3, '{"id": "a", "lab')]
 
     BAD_POOL_FIELDS = [
         (3, '{"id": "train-00000", "label": "purple", "rank": 2, "gain": 0.5}'),
         (3, '{"id": "train-00000", "label": "neutral", "rank": 2, "gain": [0.5]}'),
         (3, '{"id": "train-00000", "label": "neutral", "rank": "second", "gain": 0.5}'),
+        (3, '{"id": "train-00000", "label": 5, "rank": 2, "gain": 0.5}'),
+        (3, '{"id": [1], "label": "neutral", "rank": 2, "gain": 0.5}'),
+        (1, '{"config_hash": "aaa"}'),
     ]
     BAD_PREDICTION_FIELDS = [
         (3, '{"query_id": "q9", "gold": "purple", "parse_status": "ok", "config_hash": "aaa"}'),
         (3, '{"query_id": "q9", "parse_status": "ok", "attempts": [1], "config_hash": "aaa"}'),
+        (3, '{"query_id": "q9", "gold": 5, "parse_status": "ok", "config_hash": "aaa"}'),
+        (3, '{"query_id": "q9", "pred": 5, "parse_status": "ok", "config_hash": "aaa"}'),
+        (3, '{"query_id": 5, "parse_status": "ok", "config_hash": "aaa"}'),
+        (1, '{"kind": "report", "config_hash": "aaa"}'),
     ]
 
     @pytest.mark.parametrize("lineno,bad", BAD_ROWS + BAD_POOL_FIELDS)
@@ -606,6 +614,44 @@ class TestErrors:
         assert err.startswith("error: CliError: ")
         assert len(err.strip().splitlines()) == 1
         assert f"{path}: line {lineno}:" in err
+
+    def test_train_dataset_error_names_its_file(self, corpus_files, tmp_path, capsys):
+        _, test_path = corpus_files
+        train_path = tmp_path / "bad_train.jsonl"
+        rows = ['{"id": "a", "title": "t", "label": "liberal"}', '{"id": "b", "label": "liberal"}']
+        train_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(
+            ["classify", "--dataset", str(test_path), "--train-dataset", str(train_path), "--k", "4",
+             "--mock", "echo_majority"] + base_flags(tmp_path / "o")
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: DatasetError: {train_path}: line 2: missing title for id 'b'\n"
+
+    def test_failed_pool_rewrite_keeps_the_old_pool(self, corpus_files, tmp_path, capsys, monkeypatch):
+        train_path, _ = corpus_files
+        out = tmp_path / "pool"
+        args = ["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + base_flags(out)
+        assert main(args) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        class DiskFull:
+            @property
+            def wire(self):
+                raise OSError("No space left on device")
+
+        build = cli.build_candidate_pool
+
+        def build_then_fail_on_row_2(*args, **kwargs):
+            pool = build(*args, **kwargs)
+            pool.entries.insert(1, PoolEntry("x", DiskFull(), 0.5))
+            return pool
+
+        monkeypatch.setattr(cli, "build_candidate_pool", build_then_fail_on_row_2)
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: OSError: No space left on device\n"
+        # the old pool and config, byte for byte, and no temporary file beside them
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_embedding_service_down_is_a_clean_exit(self, corpus_files, tmp_path, capsys, monkeypatch):
         train_path, _ = corpus_files

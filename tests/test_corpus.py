@@ -10,6 +10,7 @@ from ideolab.corpus import (
     Ideology,
     LabelMapping,
     SourceIdeologyMap,
+    _write_jsonl,
     filter_subset,
     load_dataset,
     map_label,
@@ -71,6 +72,11 @@ class TestIdeology:
         with pytest.raises(ValueError):
             Ideology.from_string("centrist")
 
+    @pytest.mark.parametrize("value", [5, None, ["liberal"]])
+    def test_label_that_is_not_a_string(self, value):
+        with pytest.raises(ValueError, match="unknown ideology label"):
+            Ideology.from_string(value)
+
 
 class TestLoadDataset:
     def write(self, tmp_path, lines):
@@ -112,6 +118,24 @@ class TestLoadDataset:
         path = self.write(tmp_path, ['{"id":"a","title":"t"}'])
         with pytest.raises(DatasetError, match="neither label nor score"):
             load_dataset(path, YT)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ('{"id":"b","score":0.1}', "missing title for id 'b'"),
+            ('{"id":"b","title":"u","label":5}', "unknown ideology label: 5"),
+            ('{"id":"b","title":"u","score":"0.1"}', "score must be numeric"),
+            ('{"id":"b","title":"u","score":0.1,"source":5}', "source must be a string or null for id 'b'"),
+            ('{"id":"b","title":"u","score":0.1,"description":["d"]}', "description must be a string or null for id 'b'"),
+            ('{"id":"a","title":"u","score":0.1}', "duplicate id 'a' (first seen at line 1)"),
+        ],
+        ids=["title", "label", "score", "source", "description", "duplicate"],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, bad, message):
+        path = self.write(tmp_path, ['{"id":"a","title":"t","score":0.0}', bad])
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path, YT)
+        assert str(info.value) == f"{path}: line 2: {message}"
 
     def test_explicit_label_wins_over_score(self, tmp_path):
         path = self.write(tmp_path, ['{"id":"a","title":"t","label":"conservative","score":-0.9}'])
@@ -188,6 +212,34 @@ class TestSourceMap:
         path = tmp_path / "sources.json"
         path.write_text(json.dumps({"MSNBC": "liberal"}), encoding="utf-8")
         assert SourceIdeologyMap.load(path).lookup("msnbc") is Ideology.LIBERAL
+
+    @pytest.mark.parametrize("text", ['{"MSNBC": "lib', '["MSNBC"]'])
+    def test_malformed_file_names_the_file(self, tmp_path, text):
+        path = tmp_path / "sources.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"^{path}: "):
+            SourceIdeologyMap.load(path)
+
+
+class TestWriteJsonl:
+    def test_rows_with_a_header(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        _write_jsonl(path, {"kind": "x"}, [{"b": 1, "a": 2}])
+        assert path.read_bytes() == b'{"kind": "x"}\n{"a": 2, "b": 1}\n'
+
+    def test_failed_write_leaves_the_old_file_or_none(self, tmp_path):
+        def rows():
+            yield {"a": 3}
+            raise OSError("No space left on device")
+
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        _write_jsonl(old, {"kind": "x"}, [{"a": 1}, {"a": 2}])
+        before = old.read_bytes()
+        for path in (old, new):
+            with pytest.raises(OSError, match="No space left"):
+                _write_jsonl(path, {"kind": "x"}, rows())
+        assert old.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [old]
 
 
 class TestMisleadingSlice:
