@@ -9,11 +9,20 @@ twice and diff the directory.
 """
 
 import json
+import sys
 from pathlib import Path
 
 from ideolab.cli import main
 from ideolab.corpus import write_dataset
 from ideolab.synthetic import synthetic_corpus
+
+
+def run(argv):
+    """Run one subcommand; stop the demo if it fails."""
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"demo stopped: ideolab {argv[0]} exited with {code}")
+
 
 root = Path(__file__).parent / "output"
 root.mkdir(exist_ok=True)
@@ -31,34 +40,34 @@ flags = [
 ]
 
 print("=== ingest ===")
-main(["ingest", "--dataset", str(root / "train.jsonl")] + flags)
+run(["ingest", "--dataset", str(root / "train.jsonl")] + flags)
 
 print("\n=== pool ===")
-main(["pool", "--train-dataset", str(root / "train.jsonl"),
-      "--pool-size", "60", "--probe-size", "80"] + flags)
+run(["pool", "--train-dataset", str(root / "train.jsonl"),
+     "--pool-size", "60", "--probe-size", "80"] + flags)
 
 print("\n=== classify (balanced, k=4, majority-echo mock) ===")
-main(["classify", "--dataset", str(root / "test.jsonl"),
-      "--train-dataset", str(root / "train.jsonl"),
-      "--k", "4", "--select", "balanced", "--mock", "echo_majority",
-      "--dump-prompts"] + flags)
+run(["classify", "--dataset", str(root / "test.jsonl"),
+     "--train-dataset", str(root / "train.jsonl"),
+     "--k", "4", "--select", "balanced", "--mock", "echo_majority",
+     "--dump-prompts"] + flags)
 
 print("\n=== eval ===")
-main(["eval"] + flags)
+run(["eval"] + flags)
 
 print("\n=== compare against a zero-shot run ===")
 zs_flags = [f if f != str(root / "run") else str(root / "run_zeroshot") for f in flags]
-main(["classify", "--dataset", str(root / "test.jsonl"),
-      "--k", "0", "--mock", "fixed:neutral"] + zs_flags)
-main(["compare", "--a", str(root / "run" / "predictions.jsonl"),
-      "--b", str(root / "run_zeroshot" / "predictions.jsonl")])
+run(["classify", "--dataset", str(root / "test.jsonl"),
+     "--k", "0", "--mock", "fixed:neutral"] + zs_flags)
+run(["compare", "--a", str(root / "run" / "predictions.jsonl"),
+     "--b", str(root / "run_zeroshot" / "predictions.jsonl")])
 
 print("\n=== ablation grid (4 k-values x 4 field configs = 16 cells) ===")
 grid_flags = [f if f != str(root / "run") else str(root / "grid") for f in flags]
-main(["ablate", "--dataset", str(root / "test.jsonl"),
-      "--train-dataset", str(root / "train.jsonl"),
-      "--pool-file", str(root / "run" / "pool.jsonl"),
-      "--mock", "echo_majority"] + grid_flags)
+run(["ablate", "--dataset", str(root / "test.jsonl"),
+     "--train-dataset", str(root / "train.jsonl"),
+     "--pool-file", str(root / "run" / "pool.jsonl"),
+     "--mock", "echo_majority"] + grid_flags)
 
 report = json.loads((root / "run" / "report.json").read_text())
 print(f"\nfew-shot report: accuracy={report['accuracy']:.3f} n={report['n']} "

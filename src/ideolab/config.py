@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import _json_object
+from .corpus import _json_object, _typed
 
 HASH_EXCLUDED_FIELDS = ("out", "cache_dir", "max_in_flight", "timeout")
 
@@ -51,13 +51,8 @@ class RunConfig:
     out: str = "runs"
 
     def __post_init__(self) -> None:
-        # each value has its default's type: an int stands for a float and is
-        # kept as given, a bool is never a number and None is never a value
         for field in dataclasses.fields(self):
-            value, default = getattr(self, field.name), field.default
-            kinds = (int, float) if type(default) is float else type(default)
-            if not isinstance(value, kinds) or isinstance(value, bool) != isinstance(default, bool):
-                raise ValueError(f"config key {field.name!r} must be {type(default).__name__}, got {value!r}")
+            _typed(getattr(self, field.name), type(field.default), f"config key {field.name!r}")
         # checked here, not only in evaluation.score, so ablate refuses it before any cell is written
         if self.bootstrap_resamples < 1:
             raise ValueError(f"bootstrap_resamples must be at least 1, got {self.bootstrap_resamples}")

@@ -143,6 +143,19 @@ def _json_object(text, where: str, error: type[Exception]) -> dict:
     return obj
 
 
+def _typed(value, kind: type, name: str, optional: bool = False):
+    """``value`` unchanged if its JSON type is ``kind``: an integer stands for a number, true and
+    false are never numbers, and null passes only if ``optional``. Else raise ``ValueError``."""
+    if value is None and optional:
+        return value
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, kinds) and isinstance(value, bool) == (kind is bool):
+        return value
+    wanted = {str: "a string", int: "a JSON integer", float: "a number", bool: "a boolean", dict: "an object"}
+    or_null = " or null" if optional else ""
+    raise ValueError(f"{name} must be {wanted[kind]}{or_null}, got {json.dumps(value, default=repr)}")
+
+
 def _read_jsonl(
     path, error: type[Exception], parse: Callable[[dict, int], object], header: Optional[Callable] = None
 ) -> tuple[Optional[dict], list]:
@@ -198,48 +211,40 @@ def _write_json(path, obj) -> None:
     _replace_file(path, [json.dumps(obj, sort_keys=True, indent=2).encode("utf-8") + b"\n"])
 
 
+def _first_seen(item_id: str, lineno: int, seen: dict[str, int]) -> None:
+    """Record ``item_id`` as read on line ``lineno``; raise if an earlier line had it."""
+    if seen.setdefault(item_id, lineno) != lineno:
+        raise ValueError(f"duplicate id {item_id!r} (first seen at line {seen[item_id]})")
+
+
 def _parse_item(obj: dict, lineno: int, schema: LabelMapping, seen: dict[str, int]) -> ContentItem:
     """The item on line ``lineno``; ``seen`` maps each id read so far to its line."""
     item_id = obj.get("id")
-    if not isinstance(item_id, str) or not item_id:
+    if item_id is None or not _typed(item_id, str, "id"):
         raise DatasetError("missing or empty id")
-    if seen.setdefault(item_id, lineno) != lineno:
-        raise DatasetError(f"duplicate id {item_id!r} (first seen at line {seen[item_id]})")
+    _first_seen(item_id, lineno, seen)
     title = obj.get("title")
-    if not isinstance(title, str) or not title.strip():
+    if title is None or not _typed(title, str, "title").strip():
         raise DatasetError(f"missing title for id {item_id!r}")
-    for key in ("source", "description"):
-        if not isinstance(obj.get(key), (str, type(None))):
-            raise DatasetError(f"{key} must be a string or null for id {item_id!r}")
-
-    label = None
-    if obj.get("label") is not None:
-        label = Ideology.from_string(obj["label"])
-
-    score = obj.get("score")
-    if score is not None:
-        if not isinstance(score, (int, float)):
-            raise DatasetError("score must be numeric")
-        score = float(score)
-
+    label = _typed(obj.get("label"), str, "label", optional=True)
+    label = None if label is None else Ideology.from_string(label)
+    score = _typed(obj.get("score"), float, "score", optional=True)
+    score = None if score is None else float(score)
     if label is None and score is None:
         raise DatasetError(f"item {item_id!r} has neither label nor score")
     if label is None and score is not None and schema.scheme != "direct":
         label = map_label(score, schema)
 
-    flags = obj.get("flags") or {}
-    if not isinstance(flags, dict):
-        raise DatasetError("flags must be an object or null")
-
+    flags = _typed(obj.get("flags"), dict, "flags", optional=True) or {}
     return ContentItem(
         id=item_id,
         title=title,
-        source=obj.get("source"),
-        description=obj.get("description"),
+        source=_typed(obj.get("source"), str, "source", optional=True),
+        description=_typed(obj.get("description"), str, "description", optional=True),
         label=label,
         raw_score=score,
-        political=flags.get("political"),
-        news_channel=flags.get("news_channel"),
+        political=_typed(flags.get("political"), bool, "flags.political", optional=True),
+        news_channel=_typed(flags.get("news_channel"), bool, "flags.news_channel", optional=True),
     )
 
 

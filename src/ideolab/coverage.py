@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import ContentItem, Ideology, _read_jsonl, _write_jsonl
+from .corpus import ContentItem, Ideology, _first_seen, _read_jsonl, _typed, _write_jsonl
 from .embedding import TokenEmbeddingSet
 
 EMPTY_SET_COVERAGE = -1.0
@@ -155,10 +155,13 @@ class CandidatePool:
             if "build_config" not in header:
                 raise ValueError("first line must be a build_config header")
 
-        def parse(row: dict, _lineno: int) -> tuple[int, PoolEntry]:
-            if not isinstance(row["id"], str):
-                raise TypeError(f"id must be a string, got {row['id']!r}")
-            return int(row["rank"]), PoolEntry(row["id"], Ideology.from_string(row["label"]), float(row["gain"]))
+        seen: dict[str, int] = {}
+
+        def parse(row: dict, lineno: int) -> tuple[int, PoolEntry]:
+            item_id, label = _typed(row["id"], str, "id"), _typed(row["label"], str, "label")
+            _first_seen(item_id, lineno, seen)
+            entry = PoolEntry(item_id, Ideology.from_string(label), float(_typed(row["gain"], float, "gain")))
+            return _typed(row["rank"], int, "rank"), entry
 
         header, ranked = _read_jsonl(path, CoverageError, parse, check_header)
         if header is None:

@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import ContentItem, _json_object, _replace_file
+from .corpus import ContentItem, _json_object, _replace_file, _typed
 from .llm import _ConnectionPool, _retry
 from .prompting import FieldConfig, render_fields_text
 
@@ -197,11 +197,11 @@ def _embedding_record(text, where: str, keys: tuple[str, ...], dim: int) -> dict
     missing = [key for key in keys if key not in record]
     if missing:
         raise EmbeddingError(f"{where}: missing {', '.join(missing)}")
-    not_str = [key for key in keys if key in ("id", "fields_hash") and not isinstance(record[key], str)]
-    if not_str:
-        raise EmbeddingError(f"{where}: {', '.join(not_str)} must be a string")
-    if type(record["dim"]) is not int:  # bool is an int subclass, and JSON true is no dim
-        raise EmbeddingError(f"{where}: dim must be a JSON integer, got {json.dumps(record['dim'])}")
+    try:
+        for key in keys[:-2]:  # id, fields_hash and dim; the arrays are checked below
+            _typed(record[key], int if key == "dim" else str, key)
+    except ValueError as exc:
+        raise EmbeddingError(f"{where}: {exc}") from None
     if record["dim"] != dim:
         raise DimensionMismatchError(f"{where}: declares dim {record['dim']}, provider expects {dim}")
     for key in ("tokens", "sentence"):
@@ -312,7 +312,7 @@ class EmbeddingCache:
                     header = json.loads(fh.readline())
                     if (header["id"], header["fields_hash"], header["dim"]) != (item_id, fields_hash, provider.dim):
                         raise EmbeddingError("cache entry key mismatch")
-                    shape = (int(header["n_tokens"]) + 1, provider.dim)
+                    shape = (_typed(header["n_tokens"], int, "n_tokens") + 1, provider.dim)
                     size = os.fstat(fh.fileno()).st_size - fh.tell()
                     if size != shape[0] * shape[1] * 8:
                         raise EmbeddingError(f"body is {size} bytes, header needs {shape} float64")

@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .corpus import IDEOLOGIES, Ideology
+from .corpus import IDEOLOGIES, Ideology, _typed
 from .prompting import ANSWER_MARKER, RenderedPrompt
 
 logger = logging.getLogger(__name__)
@@ -104,17 +104,22 @@ class PredictionRecord:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "PredictionRecord":
-        if not isinstance(record["query_id"], str):
-            raise TypeError(f"query_id must be a string, got {record['query_id']!r}")
-        return cls(
-            query_id=record["query_id"],
-            gold=Ideology.from_string(record["gold"]) if record.get("gold") else None,
-            pred=Ideology.from_string(record["pred"]) if record.get("pred") else None,
-            raw_response=record.get("raw_response", ""),
-            parse_status=record["parse_status"],
-            attempts=int(record.get("attempts", 0)),
-            config_hash=record.get("config_hash", ""),
+        gold, pred = (_typed(record.get(key), str, key, optional=True) for key in ("gold", "pred"))
+        status = _typed(record["parse_status"], str, "parse_status")
+        if status not in (PARSE_OK, PARSE_AMBIGUOUS, PARSE_EMPTY, PARSE_TRANSPORT_ERROR):
+            raise ValueError(f"unknown parse_status: {status!r}")
+        parsed = cls(
+            query_id=_typed(record["query_id"], str, "query_id"),
+            gold=None if gold is None else Ideology.from_string(gold),
+            pred=None if pred is None else Ideology.from_string(pred),
+            raw_response=_typed(record.get("raw_response", ""), str, "raw_response"),
+            parse_status=status,
+            attempts=_typed(record.get("attempts", 0), int, "attempts"),
+            config_hash=_typed(record.get("config_hash", ""), str, "config_hash"),
         )
+        if (pred is None) == (status == PARSE_OK):
+            raise ValueError(f"pred must be a label exactly when parse_status is ok, got {json.dumps(pred)}")
+        return parsed
 
 
 _LABEL_RE = re.compile(r"\b(liberal|neutral|conservative)\b", re.IGNORECASE)
@@ -416,25 +421,29 @@ def fit_to_budget(prompt: RenderedPrompt, char_budget: int) -> RenderedPrompt:
     """Shrink an oversize prompt by trimming Description lines only.
 
     Trim order: last demo block first, then earlier demos, the query's
-    description last. A description trimmed to nothing drops its line
-    entirely. If the prompt still exceeds the budget with every
-    description removed, raise: no other field may be silently cut.
+    description last. A description may span lines; one trimmed to
+    nothing drops its lines entirely. If the prompt still exceeds the
+    budget with every description removed, raise: no other field may be
+    silently cut.
     """
     if len(prompt.text) <= char_budget:
         return prompt
 
-    def strip_description(block: str, excess: int) -> tuple[str, int]:
+    def strip_description(block: str, excess: int, labelled: bool) -> tuple[str, int]:
+        # Description is a block's last field, so it runs up to a demonstration's
+        # final Ideology line or to the end of the query block
         lines = block.split("\n")
-        for i, line in enumerate(lines):
+        end = len(lines) - 1 if labelled else len(lines)
+        for i, line in enumerate(lines[:end]):
             if line.startswith("Description: "):
-                content = line[len("Description: ") :]
+                content = "\n".join(lines[i:end])[len("Description: ") :]
                 keep = max(0, len(content) - excess)
                 saved = len(content) - keep
                 if keep == 0:
-                    saved = len(line) + 1  # the line and its newline go away
-                    del lines[i]
+                    saved = len("Description: ") + len(content) + 1  # its lines and a newline go away
+                    del lines[i:end]
                 else:
-                    lines[i] = "Description: " + content[:keep]
+                    lines[i:end] = ["Description: " + content[:keep]]
                 return "\n".join(lines), saved
         return block, 0
 
@@ -443,7 +452,7 @@ def fit_to_budget(prompt: RenderedPrompt, char_budget: int) -> RenderedPrompt:
     for idx in list(range(len(blocks) - 2, -1, -1)) + [len(blocks) - 1]:
         if excess <= 0:
             break
-        blocks[idx], saved = strip_description(blocks[idx], excess)
+        blocks[idx], saved = strip_description(blocks[idx], excess, idx < len(blocks) - 1)
         excess -= saved
     fitted = replace(prompt, demo_blocks=tuple(blocks[:-1]), query_block=blocks[-1])
     if len(fitted.text) > char_budget:

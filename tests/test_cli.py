@@ -566,6 +566,11 @@ class TestErrors:
         (3, '{"id": "train-00000", "label": "neutral", "rank": "second", "gain": 0.5}'),
         (3, '{"id": "train-00000", "label": 5, "rank": 2, "gain": 0.5}'),
         (3, '{"id": [1], "label": "neutral", "rank": 2, "gain": 0.5}'),
+        (3, '{"id": "train-00000", "label": "neutral", "rank": "2", "gain": 0.5}'),
+        (3, '{"id": "train-00000", "label": "neutral", "rank": 1.7, "gain": 0.5}'),
+        (3, '{"id": "train-00000", "label": "neutral", "rank": 2, "gain": true}'),
+        (3, '{"id": "train-00000", "label": "neutral", "rank": 2, "gain": "0.5"}'),
+        (3, '{"id": "train-0", "label": "neutral", "rank": 2, "gain": 0.5}'),
         (1, '{"config_hash": "aaa"}'),
     ]
     BAD_PREDICTION_FIELDS = [
@@ -574,6 +579,12 @@ class TestErrors:
         (3, '{"query_id": "q9", "gold": 5, "parse_status": "ok", "config_hash": "aaa"}'),
         (3, '{"query_id": "q9", "pred": 5, "parse_status": "ok", "config_hash": "aaa"}'),
         (3, '{"query_id": 5, "parse_status": "ok", "config_hash": "aaa"}'),
+        (3, '{"query_id": "q9", "gold": 0, "pred": "liberal", "parse_status": "ok", "config_hash": "aaa"}'),
+        (3, '{"query_id": "q9", "gold": "liberal", "pred": null, "parse_status": "ok", "config_hash": "aaa"}'),
+        (3, '{"query_id": "q9", "gold": "liberal", "pred": "liberal", "parse_status": 7, "config_hash": "aaa"}'),
+        (3, '{"query_id": "q9", "gold": "liberal", "pred": "liberal", "parse_status": "ok", "attempts": 2.9}'),
+        (3, '{"query_id": "q9", "gold": "liberal", "pred": "liberal", "parse_status": "ok", "attempts": "2"}'),
+        (3, '{"query_id": "q9", "gold": "liberal", "pred": "liberal", "parse_status": "ok", "raw_response": 5}'),
         (1, '{"kind": "report", "config_hash": "aaa"}'),
     ]
 
@@ -598,6 +609,17 @@ class TestErrors:
         assert err.startswith("error: CoverageError: ")
         assert len(err.strip().splitlines()) == 1
         assert f"{pool_path}: line {lineno}:" in err
+
+    def test_ok_prediction_without_pred_is_a_located_clean_exit(self, tmp_path, capsys):
+        path = tmp_path / "preds.jsonl"
+        rows = [
+            {"kind": "predictions", "config": {}, "config_hash": "aaa"},
+            {"query_id": "q1", "gold": "liberal", "pred": None, "parse_status": "ok", "config_hash": "aaa"},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        assert main(["eval", "--predictions", str(path), "--out", str(tmp_path / "o")]) == 1
+        message = "pred must be a label exactly when parse_status is ok, got null"
+        assert capsys.readouterr().err == f"error: CliError: {path}: line 2: {message}\n"
 
     @pytest.mark.parametrize("lineno,bad", BAD_ROWS + BAD_PREDICTION_FIELDS)
     def test_malformed_prediction_row_is_a_located_clean_exit(self, tmp_path, capsys, lineno, bad):

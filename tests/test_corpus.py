@@ -123,13 +123,26 @@ class TestLoadDataset:
         "bad,message",
         [
             ('{"id":"b","score":0.1}', "missing title for id 'b'"),
-            ('{"id":"b","title":"u","label":5}', "unknown ideology label: 5"),
-            ('{"id":"b","title":"u","score":"0.1"}', "score must be numeric"),
-            ('{"id":"b","title":"u","score":0.1,"source":5}', "source must be a string or null for id 'b'"),
-            ('{"id":"b","title":"u","score":0.1,"description":["d"]}', "description must be a string or null for id 'b'"),
+            ('{"id":"b","title":"u","label":5}', "label must be a string or null, got 5"),
+            ('{"id":"b","title":"u","score":"0.1"}', 'score must be a number or null, got "0.1"'),
+            ('{"id":"b","title":"u","score":true}', "score must be a number or null, got true"),
+            ('{"id":"b","title":"u","score":0.1,"source":5}', "source must be a string or null, got 5"),
+            ('{"id":"b","title":"u","score":0.1,"description":["d"]}', 'description must be a string or null, got ["d"]'),
+            ('{"id":"b","title":"u","score":0.1,"flags":[]}', "flags must be an object or null, got []"),
+            (
+                '{"id":"b","title":"u","score":0.1,"flags":{"political":"yes"}}',
+                'flags.political must be a boolean or null, got "yes"',
+            ),
+            (
+                '{"id":"b","title":"u","score":0.1,"flags":{"news_channel":3}}',
+                "flags.news_channel must be a boolean or null, got 3",
+            ),
             ('{"id":"a","title":"u","score":0.1}', "duplicate id 'a' (first seen at line 1)"),
         ],
-        ids=["title", "label", "score", "source", "description", "duplicate"],
+        ids=[
+            "title", "label", "score", "score_bool", "source", "description", "flags", "political", "news_channel",
+            "duplicate",
+        ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, bad, message):
         path = self.write(tmp_path, ['{"id":"a","title":"t","score":0.0}', bad])

@@ -308,8 +308,13 @@ class TestCache:
             (lambda raw, other: raw + bytes(8 * 8), "body is"),
             (lambda raw, other: other, "key mismatch"),
             (lambda raw, other: b"\xff\x00 not a header\n" + raw.split(b"\n", 1)[1], ""),
+            (lambda raw, other: re.sub(rb'"n_tokens": (\d+)', rb'"n_tokens": "\1"', raw, count=1), "n_tokens must"),
+            (lambda raw, other: re.sub(rb'"n_tokens": (\d+)', rb'"n_tokens": \1.0', raw, count=1), "n_tokens must"),
         ],
-        ids=["one_row_short", "one_row_long", "another_items_entry", "unreadable_header"],
+        ids=[
+            "one_row_short", "one_row_long", "another_items_entry", "unreadable_header", "n_tokens_string",
+            "n_tokens_float",
+        ],
     )
     def test_bad_entry_evicted(self, tmp_path, caplog, corrupt, reason):
         cache = EmbeddingCache(tmp_path)

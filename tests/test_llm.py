@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ideolab.corpus import Ideology
+from ideolab.corpus import ContentItem, Ideology
 from ideolab.embedding import HttpProvider
 from ideolab.llm import (
     CLARIFICATION,
@@ -25,7 +25,7 @@ from ideolab.llm import (
     parse_label,
 )
 from ideolab.llm import PromptTooLargeError
-from ideolab.prompting import RenderedPrompt
+from ideolab.prompting import FieldConfig, RenderedPrompt, render_block
 
 from conftest import FakeEndpoint
 
@@ -253,6 +253,20 @@ class TestBudget:
         prompt = prompt_with_demos([], description="y" * 50)
         fitted = fit_to_budget(prompt, len("Classify.\n\nTitle: the query"))
         assert "Description" not in fitted.text
+
+    def test_multiline_description_is_trimmed_as_one_field(self):
+        description = "first line of the description\nsecond line\nthird line"
+        fields = FieldConfig(include_description=True)
+        demo = render_block(ContentItem("d", "demo title", description=description, label=L), fields, True)
+        query = render_block(ContentItem("q", "the query", description=description), fields, False)
+        prompt = RenderedPrompt(instruction="Classify.", demo_blocks=(demo,), query_block=query)
+        # a few chars over: the demonstration's description loses its tail, its label line stays
+        fitted = fit_to_budget(prompt, len(prompt.text) - 5)
+        assert fitted.demo_blocks == (f"Title: demo title\nDescription: {description[:-5]}\nIdeology: Liberal",)
+        assert fitted.query_block == query
+        # a budget that only fits the prompt without descriptions removes every line of each
+        bare = "Classify.\n\nTitle: demo title\nIdeology: Liberal\n\nTitle: the query"
+        assert fit_to_budget(prompt, len(bare)).text == bare
 
     def test_oversize_without_descriptions_raises(self):
         prompt = prompt_with_demos([L, C, N])
