@@ -90,20 +90,26 @@ def _max_sim_matrix(query_tokens: np.ndarray, bounds: np.ndarray, block) -> np.n
     chunks, each as many sets as fit in ``_MAX_CHUNK_ELEMENTS`` floats of
     similarity block (at least one set), so the block stays bounded and
     the chunks, and with them BLAS rounding, depend only on the token counts.
+    Every chunk's product goes into one buffer sized for the widest chunk,
+    and its maxima go straight into the output rows.
     """
     n_q = query_tokens.shape[0]
     n_sets = len(bounds) - 1
     out = np.empty((n_sets, n_q))
     budget = max(1024, _MAX_CHUNK_ELEMENTS // max(n_q, 1))
-    start = 0
-    while start < n_sets:
+    starts = [0]
+    while starts[-1] < n_sets:
+        start = starts[-1]
         # the last set whose end stays within the budget, but at least one set
-        stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + budget, side="right")) - 1)
+        starts.append(max(start + 1, int(np.searchsorted(bounds, bounds[start] + budget, side="right")) - 1))
+    widths = np.diff(bounds[starts])
+    buffer = np.empty(n_q * int(widths.max(initial=0)))
+    for start, stop, width in zip(starts, starts[1:], widths.tolist()):
+        sims = buffer[: n_q * width].reshape(n_q, width)
         # the product keeps the query-token-major orientation on purpose:
         # BLAS rounds ``block @ query_tokens.T`` differently in the last bit
-        sims = query_tokens @ block(start, stop).T
-        out[start:stop] = np.maximum.reduceat(sims, bounds[start:stop] - bounds[start], axis=1).T
-        start = stop
+        np.matmul(query_tokens, block(start, stop).T, out=sims)
+        np.maximum.reduceat(sims, bounds[start:stop] - bounds[start], axis=1, out=out[start:stop].T)
     return out
 
 

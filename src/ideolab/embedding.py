@@ -151,6 +151,7 @@ class HashedProvider:
 
     kind = "hashed"
     spec = "hashed"
+    in_process = True  # embed_many fetches on its calling thread
 
     def __init__(self, dim: int = 64):
         if dim < 2:
@@ -225,6 +226,7 @@ class PrecomputedFileProvider:
     """
 
     kind = "precomputed_file"
+    in_process = True  # embed_many fetches on its calling thread
 
     def __init__(self, path, dim: int):
         self.dim = dim
@@ -292,7 +294,8 @@ class EmbeddingCache:
     bytes is treated as a miss, evicted, and logged; a hit still passes the
     :class:`TokenEmbeddingSet` checks. Access is internally synchronized; writes are atomic
     (write-then-rename). :func:`embed_many` calls ``get`` and ``put`` on its
-    calling thread only; just the provider fetches run on its workers.
+    calling thread only; only the fetches of a provider that is not
+    ``in_process`` run on its workers.
     """
 
     def __init__(self, directory):
@@ -310,7 +313,8 @@ class EmbeddingCache:
             try:
                 with open(path, "rb") as fh:
                     header = json.loads(fh.readline())
-                    if (header["id"], header["fields_hash"], header["dim"]) != (item_id, fields_hash, provider.dim):
+                    dim = _typed(header["dim"], int, "dim")
+                    if (header["id"], header["fields_hash"], dim) != (item_id, fields_hash, provider.dim):
                         raise EmbeddingError("cache entry key mismatch")
                     shape = (_typed(header["n_tokens"], int, "n_tokens") + 1, provider.dim)
                     size = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -366,12 +370,15 @@ def embed_many(
     """Embed items with bounded fetch fan-out; returns id -> embedding in input order.
 
     The calling thread looks every item up in the cache, in input order.
-    Only the misses fan out: up to ``max_workers`` threads pull them from one
-    shared iterator and fetch each through :func:`embed_item`. Each result
-    comes back through a queue and the calling thread writes it to the cache
-    as it arrives, so a later failure never loses a fetch already made. The
-    first failure, of a fetch or of a cache write, stops every worker before
-    its next fetch and is re-raised once they exit.
+    Each miss is fetched through :func:`embed_item` and written to the cache
+    by the calling thread as soon as it is made, so a later failure never
+    loses a fetch already made. A provider whose ``in_process`` attribute is
+    true (the hashed and precomputed-file providers) computes under the GIL,
+    so its misses are fetched on the calling thread, in input order: threads
+    would add nothing but their start-up and a malloc arena each. For any
+    other provider, up to ``max_workers`` threads pull the misses from one
+    shared iterator. The first failure, of a fetch or of a cache write, stops
+    every fetch not yet started and is re-raised.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
@@ -381,6 +388,26 @@ def embed_many(
         cache.get(item.id, fh, provider) if cache is not None else None for item in items
     ]
     misses = [(index, item) for index, item in enumerate(items) if embeddings[index] is None]
+
+    def store(index: int, embedding: TokenEmbeddingSet) -> None:
+        embeddings[index] = embedding
+        if cache is not None:
+            cache.put(embedding, fh, provider)
+
+    if getattr(provider, "in_process", False):
+        for index, item in misses:
+            store(index, embed_item(item, fields, provider))
+    else:
+        _fan_out(misses, lambda item: embed_item(item, fields, provider), max_workers, store)
+    return {item.id: embedding for item, embedding in zip(items, embeddings)}
+
+
+def _fan_out(misses: list, fetch, max_workers: int, store) -> None:
+    """``store(index, fetch(item))`` for each (index, item) of ``misses``, with
+    the fetches on up to ``max_workers`` threads and every ``store`` on the
+    calling thread, as each result arrives through a queue. The first failure,
+    of a fetch or of a store, stops every worker before its next fetch and is
+    re-raised once they exit."""
     pending = iter(misses)
     lock = threading.Lock()
     stop = threading.Event()
@@ -393,7 +420,7 @@ def embed_many(
             if item is None:
                 break
             try:
-                outcome = embed_item(item, fields, provider)
+                outcome = fetch(item)
             except BaseException as exc:
                 stop.set()
                 outcome = exc
@@ -416,21 +443,18 @@ def embed_many(
                 if failure is None:
                     failure = outcome
                 continue
-            embeddings[index] = outcome
-            if cache is not None:
-                try:
-                    cache.put(outcome, fh, provider)
-                except BaseException as exc:
-                    stop.set()
-                    if failure is None:
-                        failure = exc
+            try:
+                store(index, outcome)
+            except BaseException as exc:
+                stop.set()
+                if failure is None:
+                    failure = exc
     finally:
         stop.set()
         for worker in workers:
             worker.join()
     if failure is not None:
         raise failure
-    return {item.id: embedding for item, embedding in zip(items, embeddings)}
 
 
 def load_provider(spec: str, dim: int):

@@ -1,4 +1,5 @@
 import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,43 @@ class TestMaxSimMatrix:
             rows = _max_sim_matrix(np.ones((n_q, 2)), _bounds(counts), block)
             assert seen == chunks_by_set_loop(counts, n_q)
             assert rows.shape == (len(counts), n_q)
+
+    def test_oversized_set_after_a_narrower_chunk(self, monkeypatch):
+        # budget 1024 tokens: chunks of 900, then the 2000-token set alone,
+        # then 600, so the product buffer must fit the widest chunk, not the first
+        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1)
+        rng = np.random.default_rng(29)
+        dim = 8
+        query = random_token_set(rng, dim, min_tokens=5, max_tokens=5)
+        counts = [300, 300, 300, 2000, 100, 500]
+        sets = [random_token_set(rng, dim, min_tokens=c, max_tokens=c) for c in counts]
+        chunks = chunks_by_set_loop(counts, query.shape[0])
+        assert chunks == [(0, 3), (3, 4), (4, 6)]
+        expected = np.empty((len(sets), query.shape[0]))
+        for start, stop in chunks:
+            sims = query @ np.concatenate(sets[start:stop]).T
+            offsets = _bounds(counts[start:stop])[:-1]
+            expected[start:stop] = np.maximum.reduceat(sims, offsets, axis=1).T
+        assert np.array_equal(max_sim_rows(query, sets), expected)
+
+    def test_peak_memory_is_rows_plus_one_chunk_product(self, monkeypatch):
+        # at most 1024 tokens per chunk: the 400 sets of 6 tokens make three
+        # chunks, so a product or a maxima temporary made per chunk shows here
+        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1_200_000)
+        rng = np.random.default_rng(31)
+        dim = 16
+        query = random_token_set(rng, dim, min_tokens=1200, max_tokens=1200)
+        sets = [random_token_set(rng, dim, min_tokens=6, max_tokens=6) for _ in range(400)]
+        tracemalloc.start()
+        try:
+            rows = max_sim_rows(query, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = max(1024, coverage._MAX_CHUNK_ELEMENTS // query.shape[0])  # tokens per chunk
+        chunk_product = 8 * query.shape[0] * budget
+        stacked_block = 8 * dim * budget
+        assert peak <= rows.nbytes + chunk_product + stacked_block
 
 
 class TestBuildPool:

@@ -184,6 +184,7 @@ class TestEmbedManyCache:
 
     def test_cache_io_runs_on_the_calling_thread(self, tmp_path):
         threads = []
+        fetch_threads = []
 
         class Recording(EmbeddingCache):
             def get(self, *args):
@@ -194,21 +195,48 @@ class TestEmbedManyCache:
                 threads.append(threading.get_ident())
                 return super().put(*args)
 
+        class Hashed(HashedProvider):
+            def fetch(self, *args):
+                fetch_threads.append(threading.get_ident())
+                return super().fetch(*args)
+
         cache = Recording(tmp_path)
-        embed_many(self.ITEMS[::2], TITLE, HashedProvider(dim=8), cache, max_workers=4)
-        embed_many(self.ITEMS, TITLE, HashedProvider(dim=8), cache, max_workers=4)
+        embed_many(self.ITEMS[::2], TITLE, Hashed(dim=8), cache, max_workers=4)
+        embed_many(self.ITEMS, TITLE, Hashed(dim=8), cache, max_workers=4)
         # 6 cold gets and puts, then 12 gets of which 6 miss and are put
         assert len(threads) == 6 + 6 + 12 + 6
         assert set(threads) == {threading.get_ident()}
+        # an in-process provider starts no thread: its 12 misses are fetched here
+        assert fetch_threads == [threading.get_ident()] * 12
+
+    def test_precomputed_file_fetches_on_the_calling_thread(self, tmp_path):
+        hashed = HashedProvider(dim=8)
+        path = tmp_path / "emb.jsonl"
+        records = [embed_item(it, TITLE, hashed).to_record(fields_hash(TITLE)) for it in self.ITEMS]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+        fetched = []
+
+        class Recording(PrecomputedFileProvider):
+            def fetch(self, item_id, *args):
+                fetched.append((item_id, threading.get_ident()))
+                return super().fetch(item_id, *args)
+
+        cache = EmbeddingCache(tmp_path / "cache")
+        out = embed_many(self.ITEMS, TITLE, Recording(path, dim=8), cache, max_workers=4)
+        assert list(out) == [it.id for it in self.ITEMS]
+        assert fetched == [(it.id, threading.get_ident()) for it in self.ITEMS]
 
     def test_fetches_before_a_failure_are_cached(self, tmp_path):
-        cache = EmbeddingCache(tmp_path)
-        provider = CountingProvider(fail_on="i5")
-        with pytest.raises(ProviderUnreachableError, match="i5"):
-            embed_many(self.ITEMS, TITLE, provider, cache, max_workers=1)
-        assert provider.fetched == [f"i{n}" for n in range(6)]
-        cached = [cache.get(it.id, fields_hash(TITLE), provider) is not None for it in self.ITEMS]
-        assert cached == [True] * 5 + [False] * 7
+        # one worker thread, then the calling thread of an in-process provider
+        for in_process in (False, True):
+            cache = EmbeddingCache(tmp_path / f"in_process_{in_process}")
+            provider = CountingProvider(fail_on="i5")
+            provider.in_process = in_process
+            with pytest.raises(ProviderUnreachableError, match="i5"):
+                embed_many(self.ITEMS, TITLE, provider, cache, max_workers=1)
+            assert provider.fetched == [f"i{n}" for n in range(6)]
+            cached = [cache.get(it.id, fields_hash(TITLE), provider) is not None for it in self.ITEMS]
+            assert cached == [True] * 5 + [False] * 7
 
     def test_hits_are_not_fetched_and_misses_once(self, tmp_path):
         items = [item(f"i{n}", f"title {n} words") for n in range(90)]
@@ -310,10 +338,12 @@ class TestCache:
             (lambda raw, other: b"\xff\x00 not a header\n" + raw.split(b"\n", 1)[1], ""),
             (lambda raw, other: re.sub(rb'"n_tokens": (\d+)', rb'"n_tokens": "\1"', raw, count=1), "n_tokens must"),
             (lambda raw, other: re.sub(rb'"n_tokens": (\d+)', rb'"n_tokens": \1.0', raw, count=1), "n_tokens must"),
+            (lambda raw, other: re.sub(rb'"dim": (\d+)', rb'"dim": "\1"', raw, count=1), "dim must"),
+            (lambda raw, other: re.sub(rb'"dim": (\d+)', rb'"dim": \1.0', raw, count=1), "dim must"),
         ],
         ids=[
             "one_row_short", "one_row_long", "another_items_entry", "unreadable_header", "n_tokens_string",
-            "n_tokens_float",
+            "n_tokens_float", "dim_string", "dim_float",
         ],
     )
     def test_bad_entry_evicted(self, tmp_path, caplog, corrupt, reason):
