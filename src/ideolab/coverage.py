@@ -30,7 +30,10 @@ from .embedding import TokenEmbeddingSet
 
 EMPTY_SET_COVERAGE = -1.0
 GAIN_FLOOR = 1e-9
-_MAX_CHUNK_ELEMENTS = 8_000_000  # cap on one similarity block in _max_sim_matrix
+# floats in one chunk's similarity product (64 MB), a cap only up to 7,812
+# query tokens: a chunk is at least 1024 tokens wide, so above that one
+# product takes n_q x 1024 floats instead (see _chunks)
+_MAX_CHUNK_ELEMENTS = 8_000_000
 
 ORDERING_MODES = ("set_bsr_greedy", "independent_bsr")
 
@@ -80,22 +83,16 @@ def _bounds(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
 
 
-def _max_sim_matrix(query_tokens: np.ndarray, bounds: np.ndarray, block) -> np.ndarray:
-    """Matrix M with M[j, i] = max over set j's tokens of (query token i . token).
+def _chunks(bounds: np.ndarray, n_q: int) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """Split stacked sets into consecutive chunks for a product against
+    ``n_q`` query tokens: (start set, stop set, token width) per chunk, and
+    one flat product buffer sized for the widest chunk that every chunk reuses.
 
-    ``bounds`` are the sets' token-row bounds (see :func:`_bounds`) and
-    ``block(start, stop)`` returns the tokens of sets start..stop-1 stacked
-    in order. Row j belongs to candidate set j, so a caller that walks
-    candidates reads contiguous memory. Sets are processed in consecutive
-    chunks, each as many sets as fit in ``_MAX_CHUNK_ELEMENTS`` floats of
-    similarity block (at least one set), so the block stays bounded and
-    the chunks, and with them BLAS rounding, depend only on the token counts.
-    Every chunk's product goes into one buffer sized for the widest chunk,
-    and its maxima go straight into the output rows.
+    Each chunk is as many sets as fit in ``_MAX_CHUNK_ELEMENTS`` floats of
+    product, but at least 1024 tokens wide and at least one set, so the
+    chunks, and with them BLAS rounding, depend only on the token counts.
     """
-    n_q = query_tokens.shape[0]
     n_sets = len(bounds) - 1
-    out = np.empty((n_sets, n_q))
     budget = max(1024, _MAX_CHUNK_ELEMENTS // max(n_q, 1))
     starts = [0]
     while starts[-1] < n_sets:
@@ -103,14 +100,47 @@ def _max_sim_matrix(query_tokens: np.ndarray, bounds: np.ndarray, block) -> np.n
         # the last set whose end stays within the budget, but at least one set
         starts.append(max(start + 1, int(np.searchsorted(bounds, bounds[start] + budget, side="right")) - 1))
     widths = np.diff(bounds[starts])
-    buffer = np.empty(n_q * int(widths.max(initial=0)))
-    for start, stop, width in zip(starts, starts[1:], widths.tolist()):
+    return list(zip(starts, starts[1:], widths.tolist())), np.empty(n_q * int(widths.max(initial=0)))
+
+
+def _max_sim_matrix(query_tokens: np.ndarray, bounds: np.ndarray, block) -> np.ndarray:
+    """Matrix M with M[j, i] = max over set j's tokens of (query token i . token),
+    as :func:`order_for_query` computes it.
+
+    ``bounds`` are the sets' token-row bounds (see :func:`_bounds`) and
+    ``block(start, stop)`` returns the tokens of sets start..stop-1 stacked
+    in order. Row j belongs to candidate set j, so a caller that walks
+    candidates reads contiguous memory. Sets are processed in the chunks of
+    :func:`_chunks`, and each chunk's maxima go straight into the output rows.
+    """
+    n_q = query_tokens.shape[0]
+    out = np.empty((len(bounds) - 1, n_q))
+    chunks, buffer = _chunks(bounds, n_q)
+    for start, stop, width in chunks:
         sims = buffer[: n_q * width].reshape(n_q, width)
         # the product keeps the query-token-major orientation on purpose:
-        # BLAS rounds ``block @ query_tokens.T`` differently in the last bit
+        # BLAS rounds ``block @ query_tokens.T`` differently in the last bit,
+        # and a query has too few tokens for a reduction per candidate to pay
         np.matmul(query_tokens, block(start, stop).T, out=sims)
         np.maximum.reduceat(sims, bounds[start:stop] - bounds[start], axis=1, out=out[start:stop].T)
     return out
+
+
+def _pool_max_sim_matrix(probe_tokens: np.ndarray, bounds: np.ndarray, block) -> np.ndarray:
+    """The matrix of :func:`_max_sim_matrix` as :func:`build_candidate_pool`
+    computes it: each chunk's product is candidate-major, so candidate j's
+    tokens are contiguous rows and its maxima are one reduction over them.
+    """
+    n_q = probe_tokens.shape[0]
+    rows = np.empty((len(bounds) - 1, n_q))
+    chunks, buffer = _chunks(bounds, n_q)
+    for start, stop, width in chunks:
+        sims = buffer[: n_q * width].reshape(width, n_q)
+        np.matmul(block(start, stop), probe_tokens.T, out=sims)
+        offsets = (bounds[start : stop + 1] - bounds[start]).tolist()
+        for j, first, end in zip(range(start, stop), offsets, offsets[1:]):
+            np.maximum.reduce(sims[first:end], axis=0, out=rows[j])
+    return rows
 
 
 def probe_indices(n_items: int, probe_size: int, seed: int) -> np.ndarray:
@@ -267,7 +297,7 @@ def build_candidate_pool(
 
     # row j holds candidate j's best similarity to every probe token; the
     # candidates are stacked one chunk at a time, never all at once
-    rows = _max_sim_matrix(
+    rows = _pool_max_sim_matrix(
         probe_tokens,
         _bounds([e.n_tokens for e in cand_embs]),
         lambda start, stop: np.concatenate([e.token_vectors for e in cand_embs[start:stop]]),

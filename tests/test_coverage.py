@@ -13,6 +13,7 @@ from ideolab.coverage import (
     RankedEntry,
     _bounds,
     _max_sim_matrix,
+    _pool_max_sim_matrix,
     bsr,
     build_candidate_pool,
     order_for_query,
@@ -36,14 +37,17 @@ def labeled_items(n, prefix="it"):
 
 
 def strided_lazy_greedy(token_sets, n, probe_size, seed):
-    """Reference pool build: lazy greedy over a query-token-major
-    similarity matrix, with strided ``sims[:, j]`` re-evaluation and first
-    gains from one matrix product. Returns (picked indices, gains)."""
+    """Reference pool build: lazy greedy over a query-token-major view of
+    the similarity matrix, with strided ``sims[:, j]`` re-evaluation and
+    first gains from one matrix product. Returns (picked indices, gains).
+
+    The product is candidate-major, as the pool build computes it: BLAS can
+    round ``probe_tokens @ tokens.T`` differently in the last bit."""
     probe = [token_sets[i] for i in probe_indices(len(token_sets), probe_size, seed)]
     probe_tokens = np.concatenate(probe, axis=0)
     weights = np.concatenate([np.full(len(p), 1.0 / len(p)) for p in probe])
     offsets = np.cumsum([0] + [len(t) for t in token_sets[:-1]])
-    sims = np.maximum.reduceat(probe_tokens @ np.concatenate(token_sets, axis=0).T, offsets, axis=1)
+    sims = np.maximum.reduceat(np.concatenate(token_sets) @ probe_tokens.T, offsets, axis=0).T
     cur = np.full(probe_tokens.shape[0], -1.0)
     first_gains = (sims - cur[:, None]).T @ weights
     heap = [(-first_gains[j], j, 0) for j in range(len(token_sets))]
@@ -66,11 +70,9 @@ def strided_lazy_greedy(token_sets, n, probe_size, seed):
     return picked, gains
 
 
-def max_sim_rows(query_tokens, token_sets):
-    """_max_sim_matrix over sets stacked one chunk at a time, as the pool build stacks them."""
-    return _max_sim_matrix(
-        query_tokens, _bounds([len(t) for t in token_sets]), lambda a, b: np.concatenate(token_sets[a:b])
-    )
+def max_sim_rows(query_tokens, token_sets, kernel=_max_sim_matrix):
+    """``kernel`` over sets stacked one chunk at a time, as the pool build stacks them."""
+    return kernel(query_tokens, _bounds([len(t) for t in token_sets]), lambda a, b: np.concatenate(token_sets[a:b]))
 
 
 def chunks_by_set_loop(counts, n_q):
@@ -288,6 +290,67 @@ class TestMaxSimMatrix:
         tracemalloc.start()
         try:
             rows = max_sim_rows(query, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = max(1024, coverage._MAX_CHUNK_ELEMENTS // query.shape[0])  # tokens per chunk
+        chunk_product = 8 * query.shape[0] * budget
+        stacked_block = 8 * dim * budget
+        assert peak <= rows.nbytes + chunk_product + stacked_block
+
+
+class TestPoolMaxSimMatrix:
+    @pytest.mark.parametrize("elements", [1, 6000, 40_000])
+    def test_equals_per_chunk_candidate_major_reference(self, monkeypatch, elements):
+        # variable token counts around one set wider than any budget, so the
+        # product buffer must fit a chunk wider than the one before it
+        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", elements)
+        rng = np.random.default_rng(elements + 7)
+        dim = 8
+        for _ in range(6):
+            n_q = int(rng.integers(1, 9))
+            budget = max(1024, elements // n_q)
+            counts = rng.integers(1, 400, size=int(rng.integers(1, 40))).tolist()
+            counts.insert(int(rng.integers(1, len(counts) + 1)), budget + int(rng.integers(1, 500)))
+            query = random_token_set(rng, dim, min_tokens=n_q, max_tokens=n_q)
+            sets = [random_token_set(rng, dim, min_tokens=c, max_tokens=c) for c in counts]
+            seen = []
+
+            def block(start, stop):
+                seen.append((start, stop))
+                return np.concatenate(sets[start:stop])
+
+            rows = _pool_max_sim_matrix(query, _bounds(counts), block)
+            chunks = chunks_by_set_loop(counts, n_q)
+            assert seen == chunks
+            expected = np.empty((len(sets), n_q))
+            for start, stop in chunks:
+                sims = np.concatenate(sets[start:stop]) @ query.T
+                bounds = _bounds(counts[start:stop])
+                for j in range(start, stop):
+                    expected[j] = sims[bounds[j - start] : bounds[j - start + 1]].max(axis=0)
+            assert np.array_equal(rows, expected)
+
+    def test_rows_match_per_candidate_sims(self, monkeypatch):
+        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1)
+        rng = np.random.default_rng(17)
+        dim = 16
+        query = make_embedding("q", random_token_set(rng, dim, min_tokens=9, max_tokens=20))
+        cands = [make_embedding(f"c{j}", random_token_set(rng, dim, max_tokens=8)) for j in range(500)]
+        assert sum(c.n_tokens for c in cands) > 2 * 1024
+        rows = max_sim_rows(query.token_vectors, [c.token_vectors for c in cands], _pool_max_sim_matrix)
+        for j, cand in enumerate(cands):
+            np.testing.assert_allclose(rows[j], token_max_sims(query, cand), rtol=0, atol=1e-12)
+
+    def test_peak_memory_is_rows_plus_one_chunk_product(self, monkeypatch):
+        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1_200_000)
+        rng = np.random.default_rng(37)
+        dim = 16
+        query = random_token_set(rng, dim, min_tokens=1200, max_tokens=1200)
+        sets = [random_token_set(rng, dim, min_tokens=6, max_tokens=6) for _ in range(400)]
+        tracemalloc.start()
+        try:
+            rows = max_sim_rows(query, sets, _pool_max_sim_matrix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
