@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import heapq
 import operator
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,10 +32,15 @@ from .embedding import TokenEmbeddingSet
 
 EMPTY_SET_COVERAGE = -1.0
 GAIN_FLOOR = 1e-9
-# floats in one chunk's similarity product (64 MB), a cap only up to 7,812
-# query tokens: a chunk is at least 1024 tokens wide, so above that one
-# product takes n_q x 1024 floats instead (see _chunks)
+# floats in one ordering chunk's similarity product (64 MB), a cap only up
+# to 7,812 query tokens: an ordering chunk is at least 1024 tokens wide, so
+# above that one product takes n_q x 1024 floats instead (see _max_sim_matrix)
 _MAX_CHUNK_ELEMENTS = 8_000_000
+# floats in one pool-build chunk's product (8 MB), a cap at any probe size
+# unless one candidate alone is wider; the chunk then stays in cache, and
+# its BLAS rounding matched the unsplit product's on the recorded workloads
+# (see _pool_max_sim_matrix)
+_POOL_CHUNK_ELEMENTS = 2**20
 
 ORDERING_MODES = ("set_bsr_greedy", "independent_bsr")
 
@@ -83,24 +90,24 @@ def _bounds(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
 
 
-def _chunks(bounds: np.ndarray, n_q: int) -> tuple[list[tuple[int, int, int]], np.ndarray]:
-    """Split stacked sets into consecutive chunks for a product against
-    ``n_q`` query tokens: (start set, stop set, token width) per chunk, and
-    one flat product buffer sized for the widest chunk that every chunk reuses.
-
-    Each chunk is as many sets as fit in ``_MAX_CHUNK_ELEMENTS`` floats of
-    product, but at least 1024 tokens wide and at least one set, so the
-    chunks, and with them BLAS rounding, depend only on the token counts.
+def _chunks(bounds: np.ndarray, budget: int) -> list[tuple[int, int, int]]:
+    """Split stacked sets into consecutive chunks: (start set, stop set,
+    token width) per chunk, each as many sets as fit in ``budget`` tokens
+    but at least one set, so the chunks, and with them BLAS rounding,
+    depend only on the token counts and the budget.
     """
     n_sets = len(bounds) - 1
-    budget = max(1024, _MAX_CHUNK_ELEMENTS // max(n_q, 1))
     starts = [0]
     while starts[-1] < n_sets:
         start = starts[-1]
         # the last set whose end stays within the budget, but at least one set
         starts.append(max(start + 1, int(np.searchsorted(bounds, bounds[start] + budget, side="right")) - 1))
-    widths = np.diff(bounds[starts])
-    return list(zip(starts, starts[1:], widths.tolist())), np.empty(n_q * int(widths.max(initial=0)))
+    return list(zip(starts, starts[1:], np.diff(bounds[starts]).tolist()))
+
+
+def _product_buffer(chunks: list[tuple[int, int, int]], n_q: int) -> np.ndarray:
+    """One flat product buffer sized for the widest chunk, reused by every chunk."""
+    return np.empty(n_q * max((width for _, _, width in chunks), default=0))
 
 
 def _max_sim_matrix(query_tokens: np.ndarray, bounds: np.ndarray, block) -> np.ndarray:
@@ -110,12 +117,14 @@ def _max_sim_matrix(query_tokens: np.ndarray, bounds: np.ndarray, block) -> np.n
     ``bounds`` are the sets' token-row bounds (see :func:`_bounds`) and
     ``block(start, stop)`` returns the tokens of sets start..stop-1 stacked
     in order. Row j belongs to candidate set j, so a caller that walks
-    candidates reads contiguous memory. Sets are processed in the chunks of
-    :func:`_chunks`, and each chunk's maxima go straight into the output rows.
+    candidates reads contiguous memory. Each chunk is as many sets as fit in
+    ``_MAX_CHUNK_ELEMENTS`` floats of product, but at least 1024 tokens wide,
+    and each chunk's maxima go straight into the output rows.
     """
     n_q = query_tokens.shape[0]
     out = np.empty((len(bounds) - 1, n_q))
-    chunks, buffer = _chunks(bounds, n_q)
+    chunks = _chunks(bounds, max(1024, _MAX_CHUNK_ELEMENTS // max(n_q, 1)))
+    buffer = _product_buffer(chunks, n_q)
     for start, stop, width in chunks:
         sims = buffer[: n_q * width].reshape(n_q, width)
         # the product keeps the query-token-major orientation on purpose:
@@ -126,14 +135,23 @@ def _max_sim_matrix(query_tokens: np.ndarray, bounds: np.ndarray, block) -> np.n
     return out
 
 
+def _pool_chunks(bounds: np.ndarray, n_q: int) -> list[tuple[int, int, int]]:
+    """The pool build's chunks against ``n_q`` probe tokens: as many whole
+    candidates as fit in ``_POOL_CHUNK_ELEMENTS`` floats of product, at
+    least one, with no floor on the width, so the cap holds at any n_q."""
+    return _chunks(bounds, _POOL_CHUNK_ELEMENTS // n_q)
+
+
 def _pool_max_sim_matrix(probe_tokens: np.ndarray, bounds: np.ndarray, block) -> np.ndarray:
     """The matrix of :func:`_max_sim_matrix` as :func:`build_candidate_pool`
     computes it: each chunk's product is candidate-major, so candidate j's
     tokens are contiguous rows and its maxima are one reduction over them.
+    The chunks are those of :func:`_pool_chunks`.
     """
     n_q = probe_tokens.shape[0]
     rows = np.empty((len(bounds) - 1, n_q))
-    chunks, buffer = _chunks(bounds, n_q)
+    chunks = _pool_chunks(bounds, n_q)
+    buffer = _product_buffer(chunks, n_q)
     for start, stop, width in chunks:
         sims = buffer[: n_q * width].reshape(width, n_q)
         np.matmul(block(start, stop), probe_tokens.T, out=sims)
@@ -141,6 +159,68 @@ def _pool_max_sim_matrix(probe_tokens: np.ndarray, bounds: np.ndarray, block) ->
         for j, first, end in zip(range(start, stop), offsets, offsets[1:]):
             np.maximum.reduce(sims[first:end], axis=0, out=rows[j])
     return rows
+
+
+def _pool_bytes(bounds: np.ndarray, n_q: int) -> int:
+    """Bytes :func:`_pool_max_sim_matrix` allocates against ``n_q`` probe
+    tokens: the float64 rows of every candidate plus one product buffer."""
+    widest = max(width for _, _, width in _pool_chunks(bounds, n_q))
+    return 8 * n_q * (len(bounds) - 1 + widest)
+
+
+def _memory_limit() -> Optional[int]:
+    """Bytes of memory this process can have, or None where the host does
+    not say: physical memory, lowered by the cgroup v2 ``memory.max`` of the
+    process's cgroup or of any cgroup above it that can be read."""
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    try:
+        with open("/proc/self/cgroup", encoding="utf-8") as fh:
+            parts = next(Path(line[3:].strip()).parts[1:] for line in fh if line.startswith("0::"))
+    except (OSError, StopIteration):
+        return limit
+    for depth in range(len(parts) + 1):
+        try:
+            text = Path("/sys/fs/cgroup", *parts[:depth], "memory.max").read_text(encoding="utf-8").strip()
+        except OSError:
+            continue
+        if text != "max":
+            limit = min(limit, int(text))
+    return limit
+
+
+def _check_memory(bounds: np.ndarray, p_idx: np.ndarray, seed: int) -> None:
+    """Refuse a pool build whose similarity matrix and product buffer would
+    not fit in the memory this process can have, before either exists.
+
+    ``bounds`` are the candidates' token-row bounds and ``p_idx`` the probe.
+    The refusal names the largest ``--probe-size`` that fits, found by
+    bisection over the seeded probe samples that smaller sizes draw.
+    """
+    counts = np.diff(bounds)
+    n_q = int(counts[p_idx].sum())
+    need, limit = _pool_bytes(bounds, n_q), _memory_limit()
+    if limit is None or need <= limit:
+        return
+
+    def fits(size: int) -> bool:
+        return _pool_bytes(bounds, int(counts[probe_indices(len(counts), size, seed)].sum())) <= limit
+
+    fitting, too_big = 0, len(p_idx)
+    while too_big - fitting > 1:
+        size = (fitting + too_big) // 2
+        if fits(size):
+            fitting = size
+        else:
+            too_big = size
+    advice = f"--probe-size {fitting} would fit" if fitting else "no probe size fits"
+    raise CoverageError(
+        f"pool build needs {need:,} bytes for the similarity matrix of {n_q:,} probe tokens x "
+        f"{len(counts):,} candidates and one chunk product, more than the {limit:,} bytes this "
+        f"process can have; {advice}"
+    )
 
 
 def probe_indices(n_items: int, probe_size: int, seed: int) -> np.ndarray:
@@ -272,6 +352,8 @@ def build_candidate_pool(
 
     Uses lazy greedy re-evaluation: stale heap gains are upper bounds by
     submodularity, so the selected sequence matches naive greedy exactly.
+    Before the similarity matrix is allocated, a build that would not fit
+    in the memory this process can have is refused with a CoverageError.
     """
     if n <= 0:
         raise CoverageError(f"pool size must be positive, got {n}")
@@ -289,7 +371,9 @@ def build_candidate_pool(
     if len(dims) > 1:
         raise CoverageError(f"inconsistent embedding dims: {sorted(dims)}")
 
+    bounds = _bounds([e.n_tokens for e in cand_embs])
     p_idx = probe_indices(len(train), probe_size, seed)
+    _check_memory(bounds, p_idx, seed)
     probe_embs = [cand_embs[i] for i in p_idx]
     probe_tokens = np.concatenate([p.token_vectors for p in probe_embs], axis=0)
     # each probe contributes the mean over its tokens, so weight per token
@@ -299,7 +383,7 @@ def build_candidate_pool(
     # candidates are stacked one chunk at a time, never all at once
     rows = _pool_max_sim_matrix(
         probe_tokens,
-        _bounds([e.n_tokens for e in cand_embs]),
+        bounds,
         lambda start, stop: np.concatenate([e.token_vectors for e in cand_embs[start:stop]]),
     )
     cur = np.full(probe_tokens.shape[0], EMPTY_SET_COVERAGE)

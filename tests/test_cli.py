@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ideolab import cli, embedding
+from ideolab import cli, coverage, embedding
 from ideolab.cli import _build_parser, derive_seed, main
 from ideolab.config import RunConfig
 from ideolab.corpus import write_dataset
@@ -733,6 +733,17 @@ class TestErrors:
         argv = ["pool", "--train-dataset", str(train_path), "--probe-size", probe_size]
         assert main(argv + base_flags(tmp_path / "out")) == 1
         assert capsys.readouterr().err == f"error: CoverageError: probe size must be positive, got {probe_size}\n"
+
+    def test_pool_over_the_memory_limit_writes_nothing(self, corpus_files, tmp_path, capsys, monkeypatch):
+        train_path, _ = corpus_files
+        monkeypatch.setattr(coverage, "_memory_limit", lambda: 100_000)
+        out = tmp_path / "out"
+        assert main(["pool", "--train-dataset", str(train_path)] + base_flags(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CoverageError: pool build needs ")
+        assert len(err.strip().splitlines()) == 1
+        assert "more than the 100,000 bytes this process can have; --probe-size " in err
+        assert not out.exists()
 
     # a malformed LLM_BASE_URL, a zero timeout against a live endpoint and an
     # https endpoint whose CA bundle is missing, each refused before any work

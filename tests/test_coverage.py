@@ -1,5 +1,7 @@
 import heapq
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,10 @@ from ideolab.coverage import (
     set_coverage,
     token_max_sims,
 )
+from ideolab.embedding import HashedProvider, embed_many
+from ideolab.prompting import FieldConfig
 from ideolab.selection import balanced_select
+from ideolab.synthetic import synthetic_corpus
 
 from conftest import make_embedding
 from reference import (
@@ -76,9 +81,20 @@ def max_sim_rows(query_tokens, token_sets, kernel=_max_sim_matrix):
 
 
 def chunks_by_set_loop(counts, n_q):
-    """Reference chunk split: (start, stop) runs of sets, grown one set at a
-    time while the run's tokens fit the budget, at least one set each."""
-    budget = max(1024, coverage._MAX_CHUNK_ELEMENTS // max(n_q, 1))
+    """Reference ordering split: runs of sets within ``_MAX_CHUNK_ELEMENTS``
+    floats of product, but at least 1024 tokens wide."""
+    return runs_within(counts, max(1024, coverage._MAX_CHUNK_ELEMENTS // max(n_q, 1)))
+
+
+def pool_chunks_by_set_loop(counts, n_q):
+    """Reference pool-build split: runs of sets within ``_POOL_CHUNK_ELEMENTS``
+    floats of product, with no floor on the width."""
+    return runs_within(counts, coverage._POOL_CHUNK_ELEMENTS // n_q)
+
+
+def runs_within(counts, budget):
+    """(start, stop) runs of sets, grown one set at a time while the run's
+    tokens fit ``budget``, at least one set each."""
     chunks = []
     start = 0
     while start < len(counts):
@@ -130,6 +146,31 @@ def in_index_order(picked, twin):
     return all(
         [j for j in picked if twin[j] == t] == sorted(j for j in picked if twin[j] == t) for t in set(twin)
     )
+
+
+def assert_pool_peak_within_one_capped_product(monkeypatch, elements, n_q, wide=None):
+    """The pool kernel's traced peak over 400 sets of 6 tokens (one set
+    ``wide`` tokens if given) is the rows, one product of at most
+    ``elements`` floats, unless one set alone is wider, and one stacked block."""
+    monkeypatch.setattr(coverage, "_POOL_CHUNK_ELEMENTS", elements)
+    rng = np.random.default_rng(37)
+    dim = 16
+    query = random_token_set(rng, dim, min_tokens=n_q, max_tokens=n_q)
+    sets = [random_token_set(rng, dim, min_tokens=6, max_tokens=6) for _ in range(400)]
+    if wide:
+        sets[200] = random_token_set(rng, dim, min_tokens=wide, max_tokens=wide)
+    tracemalloc.start()
+    try:
+        rows = max_sim_rows(query, sets, _pool_max_sim_matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    widest = max(elements // n_q, wide or 0)  # tokens in the widest chunk
+    capped_product = 8 * max(elements, n_q * widest)
+    stacked_block = 8 * dim * widest
+    # a wide set fills its product exactly, leaving no slack for the
+    # chunk's offset list and other small objects (about 6.5 kB)
+    assert peak <= rows.nbytes + capped_product + stacked_block + 16 * 1024
 
 
 class TestBsr:
@@ -304,12 +345,12 @@ class TestPoolMaxSimMatrix:
     def test_equals_per_chunk_candidate_major_reference(self, monkeypatch, elements):
         # variable token counts around one set wider than any budget, so the
         # product buffer must fit a chunk wider than the one before it
-        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", elements)
+        monkeypatch.setattr(coverage, "_POOL_CHUNK_ELEMENTS", elements)
         rng = np.random.default_rng(elements + 7)
         dim = 8
         for _ in range(6):
             n_q = int(rng.integers(1, 9))
-            budget = max(1024, elements // n_q)
+            budget = elements // n_q
             counts = rng.integers(1, 400, size=int(rng.integers(1, 40))).tolist()
             counts.insert(int(rng.integers(1, len(counts) + 1)), budget + int(rng.integers(1, 500)))
             query = random_token_set(rng, dim, min_tokens=n_q, max_tokens=n_q)
@@ -321,7 +362,7 @@ class TestPoolMaxSimMatrix:
                 return np.concatenate(sets[start:stop])
 
             rows = _pool_max_sim_matrix(query, _bounds(counts), block)
-            chunks = chunks_by_set_loop(counts, n_q)
+            chunks = pool_chunks_by_set_loop(counts, n_q)
             assert seen == chunks
             expected = np.empty((len(sets), n_q))
             for start, stop in chunks:
@@ -332,32 +373,91 @@ class TestPoolMaxSimMatrix:
             assert np.array_equal(rows, expected)
 
     def test_rows_match_per_candidate_sims(self, monkeypatch):
-        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1)
+        # a one-float cap: every candidate is a chunk alone
+        monkeypatch.setattr(coverage, "_POOL_CHUNK_ELEMENTS", 1)
         rng = np.random.default_rng(17)
         dim = 16
         query = make_embedding("q", random_token_set(rng, dim, min_tokens=9, max_tokens=20))
         cands = [make_embedding(f"c{j}", random_token_set(rng, dim, max_tokens=8)) for j in range(500)]
-        assert sum(c.n_tokens for c in cands) > 2 * 1024
         rows = max_sim_rows(query.token_vectors, [c.token_vectors for c in cands], _pool_max_sim_matrix)
         for j, cand in enumerate(cands):
             np.testing.assert_allclose(rows[j], token_max_sims(query, cand), rtol=0, atol=1e-12)
 
     def test_peak_memory_is_rows_plus_one_chunk_product(self, monkeypatch):
-        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1_200_000)
-        rng = np.random.default_rng(37)
-        dim = 16
-        query = random_token_set(rng, dim, min_tokens=1200, max_tokens=1200)
-        sets = [random_token_set(rng, dim, min_tokens=6, max_tokens=6) for _ in range(400)]
+        # 1200 probe tokens: a 1000-token budget, under the old floor's 1171
+        assert_pool_peak_within_one_capped_product(monkeypatch, 1_200_000, 1200)
+
+    @pytest.mark.parametrize("wide", [None, 700])
+    def test_peak_memory_above_the_old_floor(self, monkeypatch, wide):
+        # 2000 probe tokens with a 1,000,000-float cap: a 500-token budget,
+        # where a 1024-token floor would double the product; a 700-token set
+        # is wider than the budget and so a chunk alone
+        assert_pool_peak_within_one_capped_product(monkeypatch, 1_000_000, 2000, wide)
+
+    def test_default_cap_equals_one_unsplit_product(self):
+        # hashed titles of 6 tokens: 500 probe titles make 3000 probe tokens,
+        # which the default cap splits into chunks of 58 candidates
+        train, _ = synthetic_corpus(800, 0, seed=3)
+        embs = embed_many(train, FieldConfig(), HashedProvider(dim=64))
+        sets = [embs[it.id].token_vectors for it in train]
+        probe, cands = np.concatenate(sets[:500]), sets[500:]
+        assert probe.shape[0] == 3000
+        bounds = _bounds([len(c) for c in cands])
+        assert len(coverage._pool_chunks(bounds, probe.shape[0])) > 1
+        unsplit = np.maximum.reduceat(np.concatenate(cands) @ probe.T, bounds[:-1], axis=0)
+        assert np.array_equal(max_sim_rows(probe, cands, _pool_max_sim_matrix), unsplit)
+
+
+class TestMemoryRefusal:
+    def test_memory_limit_is_at_most_physical_memory(self):
+        limit = coverage._memory_limit()
+        assert limit is None or 0 < limit <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+    @pytest.mark.parametrize("limits,expected", [(("max", "5000", "max"), 5000), (("max", "max", "max"), None)])
+    def test_cgroup_memory_max_lowers_the_limit(self, monkeypatch, tmp_path, limits, expected):
+        # the process sits in cgroup /a/b; memory.max files at /, /a and /a/b
+        (tmp_path / "a" / "b").mkdir(parents=True)
+        for directory, text in zip([tmp_path, tmp_path / "a", tmp_path / "a" / "b"], limits):
+            (directory / "memory.max").write_text(text + "\n", encoding="utf-8")
+        (tmp_path / "cgroup").write_text("4:memory:/elsewhere\n0::/a/b\n", encoding="utf-8")
+        real_open, real_path = open, Path
+        monkeypatch.setattr(coverage, "open", lambda name, **kw: real_open(tmp_path / "cgroup", **kw), raising=False)
+        monkeypatch.setattr(
+            coverage, "Path", lambda first, *rest: real_path(tmp_path if first == "/sys/fs/cgroup" else first, *rest)
+        )
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert coverage._memory_limit() == (expected or physical)
+
+    def test_refused_before_the_matrix_with_the_size_that_fits(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        items = labeled_items(300)
+        emb = {it.id: make_embedding(it.id, random_token_set(rng, 8, max_tokens=10)) for it in items}
+        counts = [emb[it.id].n_tokens for it in items]
+        probe_tokens = sum(counts[i] for i in probe_indices(len(items), 200, 0))
+        need = coverage._pool_bytes(_bounds(counts), probe_tokens)
+        monkeypatch.setattr(coverage, "_memory_limit", lambda: need // 3)
         tracemalloc.start()
         try:
-            rows = max_sim_rows(query, sets, _pool_max_sim_matrix)
+            with pytest.raises(CoverageError) as err:
+                build_candidate_pool(items, emb, n=10, probe_size=200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        budget = max(1024, coverage._MAX_CHUNK_ELEMENTS // query.shape[0])  # tokens per chunk
-        chunk_product = 8 * query.shape[0] * budget
-        stacked_block = 8 * dim * budget
-        assert peak <= rows.nbytes + chunk_product + stacked_block
+        assert peak < 8 * probe_tokens * len(items) // 4  # no matrix was allocated
+        message = str(err.value)
+        assert f"needs {need:,} bytes" in message and f"the {need // 3:,} bytes" in message
+        fitting = int(message.rsplit("--probe-size ", 1)[1].split()[0])
+        assert 0 < fitting < 200
+        assert len(build_candidate_pool(items, emb, n=10, probe_size=fitting)) == 10
+        with pytest.raises(CoverageError):
+            build_candidate_pool(items, emb, n=10, probe_size=fitting + 1)
+
+    def test_no_probe_size_fits(self, monkeypatch):
+        monkeypatch.setattr(coverage, "_memory_limit", lambda: 1)
+        items = labeled_items(5)
+        emb = {it.id: make_embedding(it.id, np.eye(5)[j : j + 1]) for j, it in enumerate(items)}
+        with pytest.raises(CoverageError, match="no probe size fits$"):
+            build_candidate_pool(items, emb, n=2, probe_size=3)
 
 
 class TestBuildPool:
