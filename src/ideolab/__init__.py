@@ -76,6 +76,7 @@ from .llm import (
 from .prompting import (
     FIELD_GRID,
     FieldConfig,
+    PromptBlock,
     PromptError,
     RenderedPrompt,
     instruction_for,

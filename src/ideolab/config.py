@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import _json_object, _typed
+from .prompting import FieldConfig
 
 HASH_EXCLUDED_FIELDS = ("out", "cache_dir", "max_in_flight", "timeout")
 
@@ -53,6 +54,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
             _typed(getattr(self, field.name), type(field.default), f"config key {field.name!r}")
+        # one spelling per field set, so the same run never hashes two ways
+        canonical = FieldConfig.from_key(self.fields).key()
+        if canonical != self.fields:
+            raise ValueError(f"config key 'fields' must be written {canonical!r}, got {self.fields!r}")
         # checked here, not only in evaluation.score, so ablate refuses it before any cell is written
         if self.bootstrap_resamples < 1:
             raise ValueError(f"bootstrap_resamples must be at least 1, got {self.bootstrap_resamples}")

@@ -55,7 +55,7 @@ class TransportError(RuntimeError):
 
 
 class PromptTooLargeError(ValueError):
-    """Prompt exceeds the character budget even with descriptions removed."""
+    """Prompt exceeds the character budget even with every description trimmed."""
 
 
 @dataclass
@@ -418,47 +418,34 @@ class ChatCompletionsClient:
 
 
 def fit_to_budget(prompt: RenderedPrompt, char_budget: int) -> RenderedPrompt:
-    """Shrink an oversize prompt by trimming Description lines only.
+    """Shrink an oversize prompt by trimming description values only.
 
-    Trim order: last demo block first, then earlier demos, the query's
-    description last. A description may span lines; one trimmed to
-    nothing drops its lines entirely. If the prompt still exceeds the
-    budget with every description removed, raise: no other field may be
-    silently cut.
+    A block's description is its last field. Trim order: last
+    demonstration first, then earlier ones, the query's description last.
+    Each is cut from its end by what the prompt is still over; one cut to
+    nothing is dropped with its label, unless it is its block's only field,
+    which keeps its first char. If the prompt still exceeds the budget,
+    raise: no other field may be silently cut, and no block left empty.
     """
     if len(prompt.text) <= char_budget:
         return prompt
-
-    def strip_description(block: str, excess: int, labelled: bool) -> tuple[str, int]:
-        # Description is a block's last field, so it runs up to a demonstration's
-        # final Ideology line or to the end of the query block
-        lines = block.split("\n")
-        end = len(lines) - 1 if labelled else len(lines)
-        for i, line in enumerate(lines[:end]):
-            if line.startswith("Description: "):
-                content = "\n".join(lines[i:end])[len("Description: ") :]
-                keep = max(0, len(content) - excess)
-                saved = len(content) - keep
-                if keep == 0:
-                    saved = len("Description: ") + len(content) + 1  # its lines and a newline go away
-                    del lines[i:end]
-                else:
-                    lines[i:end] = ["Description: " + content[:keep]]
-                return "\n".join(lines), saved
-        return block, 0
-
-    blocks = list(prompt.demo_blocks) + [prompt.query_block]
+    blocks = [*prompt.demos, prompt.query]
     excess = len(prompt.text) - char_budget
-    for idx in list(range(len(blocks) - 2, -1, -1)) + [len(blocks) - 1]:
+    for i in [*range(len(blocks) - 2, -1, -1), len(blocks) - 1]:
         if excess <= 0:
             break
-        blocks[idx], saved = strip_description(blocks[idx], excess, idx < len(blocks) - 1)
-        excess -= saved
-    fitted = replace(prompt, demo_blocks=tuple(blocks[:-1]), query_block=blocks[-1])
+        block = blocks[i]
+        name, value = block.fields[-1]
+        if name != "Description":
+            continue
+        keep = max(len(value) - excess, 1 if len(block.fields) == 1 else 0)
+        kept = ((name, value[:keep]),) if keep else ()
+        blocks[i] = replace(block, fields=block.fields[:-1] + kept)
+        excess -= len(block.text) - len(blocks[i].text)
+    fitted = replace(prompt, demos=tuple(blocks[:-1]), query=blocks[-1])
     if len(fitted.text) > char_budget:
         raise PromptTooLargeError(
-            f"prompt is {len(fitted.text)} chars with all descriptions removed, "
-            f"budget is {char_budget}"
+            f"prompt is {len(fitted.text)} chars with every description trimmed, budget is {char_budget}"
         )
     return fitted
 

@@ -8,9 +8,10 @@ change to the constants below is a deliberate, test-visible act.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, Optional
 
-from .corpus import ContentItem
+from .corpus import ContentItem, Ideology
 
 LEAD_SENTENCES = (
     "Classify the following news article titles as ideologically liberal, "
@@ -46,27 +47,16 @@ class FieldConfig:
 
     def key(self) -> str:
         """Canonical short name, e.g. "title-source"; used in cache keys."""
-        parts = []
-        if self.include_title:
-            parts.append("title")
-        if self.include_source:
-            parts.append("source")
-        if self.include_description:
-            parts.append("desc")
-        return "-".join(parts)
+        included = (self.include_title, self.include_source, self.include_description)
+        return "-".join(name for name, on in zip(("title", "source", "desc"), included) if on)
 
     @classmethod
     def from_key(cls, key: str) -> "FieldConfig":
         parts = set(key.split("-"))
-        known = {"title", "source", "desc"}
-        unknown = parts - known
+        unknown = parts - {"title", "source", "desc"}
         if unknown:
-            raise ValueError(f"unknown field name(s) in {key!r}: {sorted(unknown)}")
-        return cls(
-            include_title="title" in parts,
-            include_source="source" in parts,
-            include_description="desc" in parts,
-        )
+            raise ValueError(f"unknown field name(s) in fields {key!r}: {sorted(unknown)}")
+        return cls("title" in parts, "source" in parts, "desc" in parts)
 
 
 FIELD_GRID = ("title", "title-source", "title-desc", "title-source-desc")
@@ -88,75 +78,98 @@ def instruction_for(config: FieldConfig, cot: bool = False) -> str:
     return " ".join(sentences)
 
 
-def _field_values(item: ContentItem, config: FieldConfig) -> list[tuple[str, str]]:
-    """(name, value) of each configured, non-empty field, in the fixed
-    order Title/Source/Description."""
-    fields = (
-        ("Title", config.include_title, item.title),
-        ("Source", config.include_source, item.source),
-        ("Description", config.include_description, item.description),
-    )
-    return [(name, value) for name, included, value in fields if included and value]
-
-
 def render_fields_text(item: ContentItem, config: FieldConfig) -> str:
     """Plain text of the configured field values, for embedding.
 
     Uses the raw values joined by newlines (no "Title:" labels); the
     fields embedded always match the fields prompted.
     """
-    values = [value for _, value in _field_values(item, config)]
-    if not values:
-        raise PromptError(f"item {item.id!r} has none of the configured fields")
-    return "\n".join(values)
+    return "\n".join(value for _, value in render_block(item, config, with_label=False).fields)
 
 
-def render_block(item: ContentItem, config: FieldConfig, with_label: bool) -> str:
-    """One demonstration or query block.
+@dataclass(frozen=True)
+class PromptBlock:
+    """One demonstration or the query: its ``(name, value)`` fields in
+    Title/Source/Description order and its gold label (None for the query)."""
 
-    Fields render in the order of :func:`_field_values`; a missing field
-    omits its line entirely rather than rendering a blank value.
+    fields: tuple[tuple[str, str], ...]
+    label: Optional[Ideology] = None
+
+    @property
+    def body(self) -> str:
+        """The field lines, e.g. "Title: ...\nSource: ..."."""
+        return "\n".join(f"{name}: {value}" for name, value in self.fields)
+
+    @property
+    def answer(self) -> str:
+        """The gold label line, e.g. "Ideology: Liberal"; empty for the query."""
+        return "" if self.label is None else f"Ideology: {self.label.display}"
+
+    @property
+    def text(self) -> str:
+        """The block in a flat prompt: the field lines, then a demonstration's label line."""
+        return f"{self.body}\n{self.answer}" if self.label is not None else self.body
+
+
+def render_block(item: ContentItem, config: FieldConfig, with_label: bool) -> PromptBlock:
+    """One demonstration (``with_label``) or query block.
+
+    Fields come in the fixed order Title/Source/Description; a missing
+    field is left out rather than given a blank value. An item with none of
+    the configured fields, or a demonstration without a gold label, is refused.
     """
-    lines = [f"{name}: {value}" for name, value in _field_values(item, config)]
-    if with_label:
-        if item.label is None:
-            raise PromptError(f"demonstration item {item.id!r} has no gold label")
-        lines.append(f"Ideology: {item.label.display}")
-    return "\n".join(lines)
+    configured = (
+        ("Title", config.include_title, item.title),
+        ("Source", config.include_source, item.source),
+        ("Description", config.include_description, item.description),
+    )
+    fields = tuple((name, value) for name, included, value in configured if included and value)
+    if not fields:
+        raise PromptError(f"item {item.id!r} has none of the configured fields")
+    if with_label and item.label is None:
+        raise PromptError(f"demonstration item {item.id!r} has no gold label")
+    return PromptBlock(fields, item.label if with_label else None)
 
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    """A fully rendered prompt; the query block never carries a gold label."""
+    """A fully rendered prompt, held as blocks (the query's has no label); every text form is derived."""
 
     instruction: str
-    demo_blocks: tuple[str, ...]
-    query_block: str
+    demos: tuple[PromptBlock, ...]
+    query: PromptBlock
     cot: bool = False
 
     @property
+    def demo_blocks(self) -> tuple[str, ...]:
+        return tuple(demo.text for demo in self.demos)
+
+    @property
+    def query_block(self) -> str:
+        return self.query.text
+
+    @cached_property
     def text(self) -> str:
-        """Single flat prompt: instruction then blocks, blank-line separated."""
+        """Single flat prompt: instruction then blocks, blank-line separated;
+        cached, since the budget check and the flat message both read it."""
         return "\n\n".join((self.instruction, *self.demo_blocks, self.query_block))
 
     def as_messages(self, chat_turns: bool = False) -> list[dict]:
         """Chat-completion messages.
 
-        Default is one flat user message. ``chat_turns`` instead emits a
-        system instruction and one user/assistant exchange per
-        demonstration, with the label line as the assistant's reply.
+        Default is one flat user message holding :attr:`text`. ``chat_turns``
+        instead sends the instruction as the system message, then per
+        demonstration its field lines as a user turn and its label line
+        ("Ideology: Liberal") as the assistant's reply, then the query's
+        field lines as the last user turn.
         """
         if not chat_turns:
             return [{"role": "user", "content": self.text}]
         messages = [{"role": "system", "content": self.instruction}]
-        for block in self.demo_blocks:
-            body, _, label_line = block.rpartition("\n")
-            if not body:  # block is the label line alone
-                body, label_line = label_line, ""
-            messages.append({"role": "user", "content": body})
-            if label_line:
-                messages.append({"role": "assistant", "content": label_line})
-        messages.append({"role": "user", "content": self.query_block})
+        for demo in self.demos:
+            messages.append({"role": "user", "content": demo.body})
+            messages.append({"role": "assistant", "content": demo.answer})
+        messages.append({"role": "user", "content": self.query.body})
         return messages
 
 
@@ -172,19 +185,12 @@ def render(
     ``demos`` is a DemonstrationSet; demonstrations render in admission
     order (best rank first).
     """
-    blocks = []
-    for member in demos.members:
-        try:
-            demo = demo_items[member.item_id]
-        except KeyError:
-            raise PromptError(f"demonstration id {member.item_id!r} not resolvable") from None
-        blocks.append(render_block(demo, config, with_label=True))
-    query_block = render_block(item, config, with_label=False)
-    if not query_block:
-        raise PromptError(f"query {item.id!r} has none of the configured fields")
+    missing = [member.item_id for member in demos.members if member.item_id not in demo_items]
+    if missing:
+        raise PromptError(f"demonstration id {missing[0]!r} not resolvable")
     return RenderedPrompt(
         instruction=instruction_for(config, cot),
-        demo_blocks=tuple(blocks),
-        query_block=query_block,
+        demos=tuple(render_block(demo_items[member.item_id], config, with_label=True) for member in demos.members),
+        query=render_block(item, config, with_label=False),
         cot=cot,
     )

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import re
 import time
 import weakref
 from pathlib import Path
@@ -11,10 +12,10 @@ import pytest
 from ideolab import cli, coverage, embedding
 from ideolab.cli import _build_parser, derive_seed, main
 from ideolab.config import RunConfig
-from ideolab.corpus import write_dataset
+from ideolab.corpus import ContentItem, Ideology, write_dataset
 from ideolab.coverage import PoolEntry
 from ideolab.embedding import HashedProvider
-from ideolab.prompting import FIELD_GRID
+from ideolab.prompting import FIELD_GRID, FieldConfig, instruction_for
 from ideolab.synthetic import synthetic_corpus
 
 from conftest import FakeEndpoint
@@ -188,6 +189,43 @@ class TestPipeline:
         assert len(rows) == 12
         assert all("Classify the following news article titles" in row["prompt"] for row in rows)
         assert all(row["prompt"].count("Ideology: ") == 3 for row in rows)
+
+    def test_chat_turns_under_a_tight_budget_over_http(self, tmp_path, monkeypatch, fake_endpoint):
+        train = [
+            ContentItem("t1", "Senate passes climate bill", description="Lawmakers voted late Friday.",
+                        label=Ideology.LIBERAL),
+            ContentItem("t2", "Tax cuts lift small firms", description="Owners credit the new policy.",
+                        label=Ideology.CONSERVATIVE),
+            ContentItem("t3", "Council approves bus routes", description="Service starts next month.",
+                        label=Ideology.NEUTRAL),
+        ]
+        query = ContentItem("q1", "Governor signs budget", description="The plan passed both chambers.",
+                            label=Ideology.NEUTRAL)
+        write_dataset(train, tmp_path / "train.jsonl")
+        write_dataset([query], tmp_path / "test.jsonl")
+        # the whole flat prompt is 618 chars, so the last demonstration's description loses 10
+        config = {
+            "dataset": str(tmp_path / "test.jsonl"), "train_dataset": str(tmp_path / "train.jsonl"),
+            "label_scheme": "direct", "fields": "title-desc", "k": 3, "embed_provider": "hashed",
+            "embed_dim": 16, "chat_turns": True, "char_budget": 608, "out": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.setenv("LLM_BASE_URL", fake_endpoint)
+        assert main(["pool", "--config", str(cfg_path)]) == 0
+        assert main(["classify", "--config", str(cfg_path)]) == 0
+        assert [seen["body"]["messages"] for seen in FakeEndpoint.requests_seen] == [[
+            {"role": "system", "content": instruction_for(FieldConfig.from_key("title-desc"))},
+            {"role": "user", "content": "Title: Council approves bus routes\nDescription: Service starts next month."},
+            {"role": "assistant", "content": "Ideology: Neutral"},
+            {"role": "user", "content": "Title: Tax cuts lift small firms\nDescription: Owners credit the new policy."},
+            {"role": "assistant", "content": "Ideology: Conservative"},
+            {"role": "user", "content": "Title: Senate passes climate bill\nDescription: Lawmakers voted la"},
+            {"role": "assistant", "content": "Ideology: Liberal"},
+            {"role": "user", "content": "Title: Governor signs budget\nDescription: The plan passed both chambers."},
+        ]]
+        predictions = (tmp_path / "out" / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["parse_status"] for line in predictions[1:]] == ["ok"]
 
 
 class TestCompare:
@@ -850,6 +888,23 @@ class TestConfig:
         dests = {a.dest for a in ingest._actions if a.option_strings} - {"help", "config"}
         assert dests
         assert dests <= {f.name for f in dataclasses.fields(RunConfig)}
+
+    # one spelling per field set: another order would hash the same run
+    # differently, and a misspelt name would wait for a subcommand to fail
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ("desc-title", "config key 'fields' must be written 'title-desc', got 'desc-title'"),
+            ("titel", "unknown field name(s) in fields 'titel': ['titel']"),
+        ],
+    )
+    def test_non_canonical_fields_refused(self, tmp_path, capsys, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(fields=fields)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"fields": fields}), encoding="utf-8")
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
 
     def test_derive_seed_stable(self):
         assert derive_seed(3, "q1") == derive_seed(3, "q1")

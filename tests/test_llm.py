@@ -25,7 +25,7 @@ from ideolab.llm import (
     parse_label,
 )
 from ideolab.llm import PromptTooLargeError
-from ideolab.prompting import FieldConfig, RenderedPrompt, render_block
+from ideolab.prompting import FieldConfig, PromptBlock, RenderedPrompt, render_block
 
 from conftest import FakeEndpoint
 
@@ -34,13 +34,11 @@ L, N, C = Ideology.LIBERAL, Ideology.NEUTRAL, Ideology.CONSERVATIVE
 
 
 def prompt_with_demos(demo_labels, cot=False, description=None):
-    blocks = tuple(
-        f"Title: demo {i}\nIdeology: {lab.display}" for i, lab in enumerate(demo_labels)
-    )
-    query = "Title: the query"
+    blocks = tuple(PromptBlock((("Title", f"demo {i}"),), lab) for i, lab in enumerate(demo_labels))
+    query = (("Title", "the query"),)
     if description:
-        query += f"\nDescription: {description}"
-    return RenderedPrompt(instruction="Classify.", demo_blocks=blocks, query_block=query, cot=cot)
+        query += (("Description", description),)
+    return RenderedPrompt(instruction="Classify.", demos=blocks, query=PromptBlock(query), cot=cot)
 
 
 class TestParseLabel:
@@ -258,8 +256,9 @@ class TestBudget:
         description = "first line of the description\nsecond line\nthird line"
         fields = FieldConfig(include_description=True)
         demo = render_block(ContentItem("d", "demo title", description=description, label=L), fields, True)
-        query = render_block(ContentItem("q", "the query", description=description), fields, False)
-        prompt = RenderedPrompt(instruction="Classify.", demo_blocks=(demo,), query_block=query)
+        query_item = ContentItem("q", "the query", description=description)
+        prompt = RenderedPrompt(instruction="Classify.", demos=(demo,), query=render_block(query_item, fields, False))
+        query = prompt.query_block
         # a few chars over: the demonstration's description loses its tail, its label line stays
         fitted = fit_to_budget(prompt, len(prompt.text) - 5)
         assert fitted.demo_blocks == (f"Title: demo title\nDescription: {description[:-5]}\nIdeology: Liberal",)
@@ -267,6 +266,39 @@ class TestBudget:
         # a budget that only fits the prompt without descriptions removes every line of each
         bare = "Classify.\n\nTitle: demo title\nIdeology: Liberal\n\nTitle: the query"
         assert fit_to_budget(prompt, len(bare)).text == bare
+
+    @pytest.mark.parametrize(
+        "over, fields",
+        [
+            (10, (("Title", "A title"), ("Source", "Desk\nDescription: wire copy"), ("Description", "real descri"))),
+            (30, (("Title", "A title"), ("Source", "Desk\nDescription: wire copy"))),
+        ],
+    )
+    def test_a_source_that_reads_like_a_description_is_kept_whole(self, over, fields):
+        item = ContentItem("q", "A title", source="Desk\nDescription: wire copy", description="real description text")
+        query = render_block(item, FieldConfig.from_key("title-source-desc"), False)
+        prompt = RenderedPrompt(instruction="Classify.", demos=(), query=query)
+        fitted = fit_to_budget(prompt, len(prompt.text) - over)
+        assert fitted.query.fields == fields
+
+    def test_an_only_field_keeps_one_char(self):
+        fields = FieldConfig.from_key("desc")
+        demo = render_block(ContentItem("d", "t", description="demo description", label=L), fields, True)
+        query = render_block(ContentItem("q", "t", description="query description"), fields, False)
+        prompt = RenderedPrompt(instruction="Classify.", demos=(demo,), query=query)
+        fitted = fit_to_budget(prompt, len("Classify.\n\nDescription: d\nIdeology: Liberal\n\nDescription: q"))
+        assert fitted.text == "Classify.\n\nDescription: d\nIdeology: Liberal\n\nDescription: q"
+        assert fitted.as_messages(chat_turns=True) == [
+            {"role": "system", "content": "Classify."},
+            {"role": "user", "content": "Description: d"},
+            {"role": "assistant", "content": "Ideology: Liberal"},
+            {"role": "user", "content": "Description: q"},
+        ]
+        with pytest.raises(PromptTooLargeError):
+            fit_to_budget(prompt, len(fitted.text) - 1)
+        record = classify(prompt, LLMConfig(char_budget=len(fitted.text) - 1), mock_llm("fixed", label="neutral"),
+                          query_id="q")
+        assert (record.parse_status, record.attempts) == ("transport_error", 0)
 
     def test_oversize_without_descriptions_raises(self):
         prompt = prompt_with_demos([L, C, N])
@@ -386,7 +418,7 @@ class TestHttpClient:
         cfg = LLMConfig(base_url=fake_endpoint, max_in_flight=2, max_retries=2)
         client = make_client(cfg)
         tasks = [
-            (f"q{i}", N, RenderedPrompt(instruction="Classify.", demo_blocks=(), query_block=f"Title: q{i}"))
+            (f"q{i}", N, RenderedPrompt(instruction="Classify.", demos=(), query=PromptBlock((("Title", f"q{i}"),))))
             for i in range(4)
         ]
         records = classify_batch(tasks, cfg, client, sleep=lambda _: None)
@@ -520,9 +552,9 @@ class TestConnectionPool:
             "sys.modules['requests'] = None\n"
             "import ideolab.cli\n"
             "from ideolab.llm import ChatCompletionsClient, LLMConfig, classify\n"
-            "from ideolab.prompting import RenderedPrompt\n"
+            "from ideolab.prompting import PromptBlock, RenderedPrompt\n"
             "cfg = LLMConfig(base_url=sys.argv[1])\n"
-            "prompt = RenderedPrompt(instruction='Classify.', demo_blocks=(), query_block='Title: q')\n"
+            "prompt = RenderedPrompt(instruction='Classify.', demos=(), query=PromptBlock((('Title', 'q'),)))\n"
             "record = classify(prompt, cfg, ChatCompletionsClient(cfg), query_id='q')\n"
             "print(record.parse_status, record.pred.wire)\n"
         )

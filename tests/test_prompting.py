@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ideolab.corpus import ContentItem, Ideology
@@ -124,6 +126,12 @@ class TestRender:
         golden = (DATA_DIR / "golden_prompt_title_source_k3.txt").read_text(encoding="utf-8")
         assert prompt.text + "\n" == golden
 
+    def test_golden_chat_turns_title_source_k3(self):
+        items, demos, query = demo_fixtures()
+        prompt = render(query, demos, items, FieldConfig(include_source=True))
+        golden = (DATA_DIR / "golden_messages_title_source_k3.json").read_text(encoding="utf-8")
+        assert prompt.as_messages(chat_turns=True) == json.loads(golden)
+
     def test_gold_label_never_in_query_block(self):
         items, demos, query = demo_fixtures()
         for key in ("title", "title-source", "title-source-desc"):
@@ -143,6 +151,12 @@ class TestRender:
         bare = ContentItem(id="q2", title="Some title", label=Ideology.NEUTRAL)
         with pytest.raises(PromptError):
             render(bare, demos, items, FieldConfig(include_title=False, include_source=True))
+
+    def test_demo_missing_all_fields_errors(self):
+        items, demos, query = demo_fixtures()
+        # d3 has no description, so it would render as its label line alone
+        with pytest.raises(PromptError, match="'d3' has none of the configured fields"):
+            render(query, demos, items, FieldConfig(include_title=False, include_description=True))
 
     def test_unresolvable_demo_id(self):
         items, demos, query = demo_fixtures()
@@ -200,4 +214,4 @@ class TestFieldsText:
 def test_render_block_source_only_demo():
     item = ContentItem(id="d", title="t", source="Wire", label=Ideology.NEUTRAL)
     block = render_block(item, FieldConfig(include_title=False, include_source=True), with_label=True)
-    assert block == "Source: Wire\nIdeology: Neutral"
+    assert block.text == "Source: Wire\nIdeology: Neutral"
