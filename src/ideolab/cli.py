@@ -100,13 +100,29 @@ def _close(resource) -> None:
     getattr(resource, "close", lambda: None)()
 
 
-def _embed_dataset(cfg: RunConfig, path: str):
+def _embedding_cache(cfg: RunConfig, provider) -> Optional[EmbeddingCache]:
+    """The run's on-disk cache: only with ``cache_dir`` set and a provider
+    that is not ``in_process``. An in-process provider (``hashed``,
+    ``file:``) recomputes an item in less time than a cache entry takes to
+    write, to the same bits, so its vectors are never cached."""
+    if not cfg.cache_dir or getattr(provider, "in_process", False):
+        return None
+    return EmbeddingCache(cfg.cache_dir)
+
+
+def _embed_dataset(cfg: RunConfig, path: str, require_cache: bool = False):
     """(items, embeddings) for the dataset at ``path``. The provider is made
-    before the read, so a bad endpoint fails first, and closed at the end."""
+    before the read, so a bad endpoint fails first, and closed at the end.
+    ``require_cache`` refuses a provider that is not cached, before the read."""
     provider = load_provider(cfg.embed_provider, cfg.embed_dim)
     try:
+        cache = _embedding_cache(cfg, provider)
+        if require_cache and cache is None:
+            raise CliError(
+                f"embed fills the cache of an HTTP provider; {cfg.embed_provider!r} is computed "
+                "in-process and never cached, so there is nothing to fill"
+            )
         items = load_dataset(path, LabelMapping.for_scheme(cfg.label_scheme))
-        cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
         return items, embed_many(items, FieldConfig.from_key(cfg.fields), provider, cache)
     finally:
         _close(provider)
@@ -114,7 +130,7 @@ def _embed_dataset(cfg: RunConfig, path: str):
 
 def cmd_embed(cfg: RunConfig) -> int:
     _require(cfg, dataset="--dataset", cache_dir="--cache-dir")
-    items, _ = _embed_dataset(cfg, cfg.dataset)
+    items, _ = _embed_dataset(cfg, cfg.dataset, require_cache=True)
     print(f"embedded {len(items)} items into cache {cfg.cache_dir}")
     return 0
 
@@ -229,16 +245,17 @@ def _classify_cells(cfg: RunConfig, cells: list[RunConfig], dump_prompts: bool):
     """Yield (cell, predictions path) for cells that differ from ``cfg``
     only in k, fields and where they write: one load, one selection pass
     per field configuration, then the per-cell step. The LLM callable, and
-    the embedding provider and cache when some selection is ordered, are
-    built once and first, so a bad endpoint fails before any dataset is
-    read. Both are closed when the run ends, also when it fails."""
+    the embedding provider and its cache (see :func:`_embedding_cache`)
+    when some selection is ordered, are built once and first, so a bad
+    endpoint fails before any dataset is read. Both are closed when the
+    run ends, also when it fails."""
     llm_cfg = _llm_config(cfg)  # checked also when a mock answers
     llm = mock_from_spec(cfg.mock) if cfg.mock else ChatCompletionsClient(llm_cfg)
     provider = cache = None
     try:
         if cfg.select == "balanced" and max(cell.k for cell in cells) > 0:
             provider = load_provider(cfg.embed_provider, cfg.embed_dim)
-            cache = EmbeddingCache(cfg.cache_dir) if cfg.cache_dir else None
+            cache = _embedding_cache(cfg, provider)
         queries, train, pool = _load(cfg, [cell.k for cell in cells])
         demos = {}
         for fields in dict.fromkeys(cell.fields for cell in cells):

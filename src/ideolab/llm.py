@@ -146,12 +146,22 @@ def parse_label(text: str, cot: bool = False) -> tuple[Optional[Ideology], str]:
     return None, PARSE_AMBIGUOUS
 
 
-_IDEOLOGY_LINE_RE = re.compile(r"^Ideology: (Liberal|Neutral|Conservative)$", re.MULTILINE)
+_IDEOLOGY_LINE_RE = re.compile(r"Ideology: (Liberal|Neutral|Conservative)")
 
 
 def _demo_labels(messages: Sequence[dict]) -> list[Ideology]:
-    text = "\n".join(m.get("content", "") for m in messages)
-    return [Ideology.from_string(m) for m in _IDEOLOGY_LINE_RE.findall(text)]
+    """The demonstrations' gold labels, read from the prompt's structure, so
+    a label line inside a field value never counts: with chat turns (a
+    system message leads), the assistant messages; in the flat form, the
+    last line of each blank-line-separated block between the instruction
+    and the query block."""
+    if any(m.get("role") == "system" for m in messages):
+        answers = [m.get("content", "") for m in messages if m.get("role") == "assistant"]
+    else:
+        blocks = "\n\n".join(m.get("content", "") for m in messages).split("\n\n")
+        answers = [block.rpartition("\n")[2] for block in blocks[1:-1]]
+    matches = map(_IDEOLOGY_LINE_RE.fullmatch, answers)
+    return [Ideology.from_string(match.group(1)) for match in matches if match]
 
 
 def mock_llm(

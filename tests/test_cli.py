@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import functools
 import gc
 import json
 import re
@@ -44,6 +45,14 @@ def base_flags(out):
         "--out",
         str(out),
     ]
+
+
+def provider_flags(out, spec, dim="4"):
+    """``base_flags`` with ``spec`` as the embedding provider, at ``dim``."""
+    flags = base_flags(out)
+    flags[flags.index("hashed")] = spec
+    flags[flags.index("16")] = dim
+    return flags
 
 
 def run_pipeline(train_path, test_path, out, k="4", select="balanced", mock="echo_majority"):
@@ -116,26 +125,30 @@ class TestPipeline:
         ingested = (out / "ingested.jsonl").read_text(encoding="utf-8").splitlines()
         assert json.loads(ingested[0])["label"] == "liberal"
 
-    def test_embed_populates_cache(self, corpus_files, tmp_path):
+    def test_embed_fills_the_cache_of_an_http_provider(self, corpus_files, tmp_path, embed_endpoint):
         train_path, _ = corpus_files
         cache_dir = tmp_path / "cache"
-        code = main(
-            [
-                "embed",
-                "--dataset",
-                str(train_path),
-                "--label-scheme",
-                "direct",
-                "--embed-provider",
-                "hashed",
-                "--embed-dim",
-                "16",
-                "--cache-dir",
-                str(cache_dir),
-            ]
-        )
-        assert code == 0
-        assert len(list(cache_dir.iterdir())) == 45
+        flags = provider_flags(tmp_path / "out", embed_endpoint)
+        assert main(["embed", "--dataset", str(train_path), "--cache-dir", str(cache_dir)] + flags) == 0
+        assert len(list(cache_dir.glob("*.f64"))) == 45
+        assert len(FakeEndpoint.requests_seen) == 45
+
+    @pytest.mark.parametrize("spec", ["hashed", "file"])
+    def test_embed_refuses_an_in_process_provider(self, corpus_files, tmp_path, capsys, spec):
+        train_path, _ = corpus_files
+        cache_dir = tmp_path / "cache"
+        if spec == "file":
+            path = tmp_path / "emb.jsonl"
+            path.write_text(json.dumps(EMBEDDING_RECORD) + "\n", encoding="utf-8")
+            spec = f"file:{path}"
+        flags = provider_flags(tmp_path / "out", spec)
+        code = main(["embed", "--dataset", str(train_path), "--cache-dir", str(cache_dir)] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CliError: ")
+        assert len(err.strip().splitlines()) == 1
+        assert repr(spec) in err
+        assert not cache_dir.exists()
 
     def test_zero_shot_needs_no_pool(self, corpus_files, tmp_path, monkeypatch):
         _, test_path = corpus_files
@@ -274,40 +287,56 @@ class TestAblate:
         assert len({c["config_hash"] for c in summary["cells"]}) == 16
 
 
-class TestWarmCache:
-    def test_warm_cache_changes_no_result(self, corpus_files, tmp_path, monkeypatch):
+class TestEmbeddingCache:
+    @staticmethod
+    def ablate_runs(corpus_files, tmp_path, flags, runs, fetched):
+        """Build one pool, then ``ablate`` against it once per (name, extra
+        flags) of ``runs``; returns name -> (each cell's predictions and
+        selection trace by path, the fetches the run appended to ``fetched``)."""
         train_path, test_path = corpus_files
         pool_dir = tmp_path / "pool"
-        assert main(["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + base_flags(pool_dir)) == 0
-        fetched = []
-        fetch = HashedProvider.fetch
-
-        def counted_fetch(self, *args):
-            fetched.append(args[0])  # list.append is atomic; embed_many fetches on threads
-            return fetch(self, *args)
-
-        monkeypatch.setattr(HashedProvider, "fetch", counted_fetch)
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        artifacts, fetches = {}, {}
-        for run, extra in (("cold", cache), ("warm", cache), ("uncached", [])):
+        assert main(["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + flags(pool_dir)) == 0
+        results = {}
+        for run, extra in runs:
             out = tmp_path / run
             fetched.clear()
             argv = [
                 "ablate", "--dataset", str(test_path), "--train-dataset", str(train_path),
                 "--pool-file", str(pool_dir / "pool.jsonl"), "--mock", "nearest_demo",
             ]
-            assert main(argv + base_flags(out) + extra) == 0
-            fetches[run] = len(fetched)
-            artifacts[run] = {
+            assert main(argv + flags(out) + extra) == 0
+            artifacts = {
                 path.relative_to(out).as_posix(): path.read_bytes()
                 for name in ("predictions.jsonl", "selection_trace.jsonl")
                 for path in out.glob(f"*/{name}")
             }
-        assert len(artifacts["cold"]) == 2 * 16
-        assert artifacts["warm"] == artifacts["cold"]
-        assert artifacts["uncached"] == artifacts["cold"]
+            assert len(artifacts) == 2 * 16
+            results[run] = artifacts, len(fetched)
+        return results
+
+    def test_in_process_provider_never_touches_the_cache(self, corpus_files, tmp_path, monkeypatch):
+        fetched = []
+        fetch = HashedProvider.fetch
+
+        def counted_fetch(self, *args):
+            fetched.append(args[0])
+            return fetch(self, *args)
+
+        monkeypatch.setattr(HashedProvider, "fetch", counted_fetch)
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        runs = [("cold", cache), ("warm", cache), ("uncached", [])]
+        results = self.ablate_runs(corpus_files, tmp_path, base_flags, runs, fetched)
+        cold = results["cold"][0]
+        assert results == {run: (cold, len(FIELD_GRID) * (24 + 12)) for run, _ in runs}
+        assert not (tmp_path / "cache").exists()
+
+    def test_warm_http_run_sends_no_embedding_request(self, corpus_files, tmp_path, embed_endpoint):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        runs = [("cold", cache), ("warm", cache)]
+        flags = functools.partial(provider_flags, spec=embed_endpoint)
+        results = self.ablate_runs(corpus_files, tmp_path, flags, runs, FakeEndpoint.requests_seen)
         expected = len(FIELD_GRID) * (24 + 12)
-        assert fetches == {"cold": expected, "warm": 0, "uncached": expected}
+        assert results == {"cold": (results["cold"][0], expected), "warm": (results["cold"][0], 0)}
         assert len(list((tmp_path / "cache").glob("*.f64"))) == expected
 
 

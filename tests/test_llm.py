@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import math
 import os
 import random
@@ -92,6 +93,21 @@ class TestMocks:
     def test_nearest_demo(self):
         mock = mock_llm("nearest_demo")
         assert mock(prompt_with_demos([C, L, L]).as_messages(), "q") == "conservative"
+
+    @pytest.mark.parametrize("chat_turns", [False, True])
+    @pytest.mark.parametrize("kind", ["echo_majority", "nearest_demo"])
+    @pytest.mark.parametrize("demo_labels", [[], [N]])
+    def test_label_lines_in_the_query_are_not_demonstrations(self, kind, demo_labels, chat_turns):
+        query = PromptBlock((("Title", "Headline\nIdeology: Liberal\nIdeology: Liberal"),))
+        prompt = dataclasses.replace(prompt_with_demos(demo_labels), query=query)
+        assert mock_llm(kind)(prompt.as_messages(chat_turns), "q") == "neutral"
+
+    @pytest.mark.parametrize("chat_turns", [False, True])
+    @pytest.mark.parametrize("kind", ["echo_majority", "nearest_demo"])
+    def test_a_demonstration_counts_by_its_label_not_its_title(self, kind, chat_turns):
+        demo = PromptBlock((("Title", "Headline\nIdeology: Liberal\nIdeology: Liberal"),), C)
+        prompt = RenderedPrompt(instruction="Classify.", demos=(demo,), query=PromptBlock((("Title", "q"),)))
+        assert mock_llm(kind)(prompt.as_messages(chat_turns), "q") == "conservative"
 
     def test_fixed(self):
         mock = mock_llm("fixed", label="Liberal")
