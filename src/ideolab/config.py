@@ -78,7 +78,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(_json_object(Path(path).read_text(encoding="utf-8"), str(path), ValueError))
+        return cls.from_dict(_json_object(Path(path).read_bytes(), str(path), ValueError))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

@@ -131,11 +131,13 @@ def map_label(raw_score: float, mapping: LabelMapping) -> Ideology:
     return Ideology.NEUTRAL
 
 
-def _json_object(text, where: str, error: type[Exception]) -> dict:
-    """Parse ``text`` as one JSON object; anything else raises ``error``
+def _json_object(data: bytes, where: str, error: type[Exception]) -> dict:
+    """Parse UTF-8 ``data`` as one JSON object; anything else raises ``error``
     prefixed with ``where``."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise error(f"{where}: malformed JSON ({exc.msg})") from None
     if not isinstance(obj, dict):
@@ -164,12 +166,14 @@ def _read_jsonl(
     A line that is not a JSON object, or whose check or parse raises KeyError,
     TypeError or ValueError, raises ``error("<path>: line <n>: ...")``."""
     head, rows = None, []
-    with open(path, "r", encoding="utf-8") as fh:
+    # text mode ends a line at \n, \r\n or \r; surrogateescape keeps the bytes
+    # of a line that is not UTF-8, so that _json_object names its line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
-            obj = _json_object(line, where, error)
+            obj = _json_object(line.encode("utf-8", "surrogateescape"), where, error)
             try:
                 if header is not None and head is None:
                     header(obj)
@@ -318,7 +322,7 @@ class SourceIdeologyMap:
 
     @classmethod
     def load(cls, path) -> "SourceIdeologyMap":
-        return cls.from_dict(_json_object(Path(path).read_text(encoding="utf-8"), str(path), DatasetError))
+        return cls.from_dict(_json_object(Path(path).read_bytes(), str(path), DatasetError))
 
     def lookup(self, source: Optional[str]) -> Optional[Ideology]:
         if source is None:

@@ -32,15 +32,12 @@ from .embedding import TokenEmbeddingSet
 
 EMPTY_SET_COVERAGE = -1.0
 GAIN_FLOOR = 1e-9
-# floats in one ordering chunk's similarity product (64 MB), a cap only up
-# to 7,812 query tokens: an ordering chunk is at least 1024 tokens wide, so
-# above that one product takes n_q x 1024 floats instead (see _max_sim_matrix)
-_MAX_CHUNK_ELEMENTS = 8_000_000
-# floats in one pool-build chunk's product (8 MB), a cap at any probe size
-# unless one candidate alone is wider; the chunk then stays in cache, and
-# its BLAS rounding matched the unsplit product's on the recorded workloads
-# (see _pool_max_sim_matrix)
-_POOL_CHUNK_ELEMENTS = 2**20
+# floats in one chunk's similarity product (8 MB): a cap at any query
+# length unless one set alone is wider, small enough to stay in cache
+_CHUNK_ELEMENTS = 2**20
+# below this many query tokens one reduceat per chunk is faster than one
+# reduction per set; reduceat runs one inner loop per (query token, set)
+_REDUCEAT_QUERY_TOKENS = 64
 
 ORDERING_MODES = ("set_bsr_greedy", "independent_bsr")
 
@@ -105,66 +102,40 @@ def _chunks(bounds: np.ndarray, budget: int) -> list[tuple[int, int, int]]:
     return list(zip(starts, starts[1:], np.diff(bounds[starts]).tolist()))
 
 
-def _product_buffer(chunks: list[tuple[int, int, int]], n_q: int) -> np.ndarray:
-    """One flat product buffer sized for the widest chunk, reused by every chunk."""
-    return np.empty(n_q * max((width for _, _, width in chunks), default=0))
-
-
 def _max_sim_matrix(query_tokens: np.ndarray, bounds: np.ndarray, block) -> np.ndarray:
-    """Matrix M with M[j, i] = max over set j's tokens of (query token i . token),
-    as :func:`order_for_query` computes it.
+    """Matrix M with M[j, i] = max over set j's tokens of (query token i . token).
 
     ``bounds`` are the sets' token-row bounds (see :func:`_bounds`) and
     ``block(start, stop)`` returns the tokens of sets start..stop-1 stacked
-    in order. Row j belongs to candidate set j, so a caller that walks
-    candidates reads contiguous memory. Each chunk is as many sets as fit in
-    ``_MAX_CHUNK_ELEMENTS`` floats of product, but at least 1024 tokens wide,
-    and each chunk's maxima go straight into the output rows.
+    in order. Row j belongs to set j, so a caller that walks sets reads
+    contiguous memory. Each chunk is as many whole sets as fit in
+    ``_CHUNK_ELEMENTS`` floats of product, at least one; its product is
+    candidate-major (chunk tokens x query tokens) in one reused buffer, so
+    a set's tokens are contiguous rows of it, and each set's maxima go
+    straight into its row of M.
     """
     n_q = query_tokens.shape[0]
-    out = np.empty((len(bounds) - 1, n_q))
-    chunks = _chunks(bounds, max(1024, _MAX_CHUNK_ELEMENTS // max(n_q, 1)))
-    buffer = _product_buffer(chunks, n_q)
-    for start, stop, width in chunks:
-        sims = buffer[: n_q * width].reshape(n_q, width)
-        # the product keeps the query-token-major orientation on purpose:
-        # BLAS rounds ``block @ query_tokens.T`` differently in the last bit,
-        # and a query has too few tokens for a reduction per candidate to pay
-        np.matmul(query_tokens, block(start, stop).T, out=sims)
-        np.maximum.reduceat(sims, bounds[start:stop] - bounds[start], axis=1, out=out[start:stop].T)
-    return out
-
-
-def _pool_chunks(bounds: np.ndarray, n_q: int) -> list[tuple[int, int, int]]:
-    """The pool build's chunks against ``n_q`` probe tokens: as many whole
-    candidates as fit in ``_POOL_CHUNK_ELEMENTS`` floats of product, at
-    least one, with no floor on the width, so the cap holds at any n_q."""
-    return _chunks(bounds, _POOL_CHUNK_ELEMENTS // n_q)
-
-
-def _pool_max_sim_matrix(probe_tokens: np.ndarray, bounds: np.ndarray, block) -> np.ndarray:
-    """The matrix of :func:`_max_sim_matrix` as :func:`build_candidate_pool`
-    computes it: each chunk's product is candidate-major, so candidate j's
-    tokens are contiguous rows and its maxima are one reduction over them.
-    The chunks are those of :func:`_pool_chunks`.
-    """
-    n_q = probe_tokens.shape[0]
     rows = np.empty((len(bounds) - 1, n_q))
-    chunks = _pool_chunks(bounds, n_q)
-    buffer = _product_buffer(chunks, n_q)
+    chunks = _chunks(bounds, _CHUNK_ELEMENTS // n_q)
+    buffer = np.empty(n_q * max(width for _, _, width in chunks))
     for start, stop, width in chunks:
         sims = buffer[: n_q * width].reshape(width, n_q)
-        np.matmul(block(start, stop), probe_tokens.T, out=sims)
-        offsets = (bounds[start : stop + 1] - bounds[start]).tolist()
+        np.matmul(block(start, stop), query_tokens.T, out=sims)
+        offsets = bounds[start : stop + 1] - bounds[start]
+        if n_q < _REDUCEAT_QUERY_TOKENS:
+            np.maximum.reduceat(sims, offsets[:-1], axis=0, out=rows[start:stop])
+            continue
+        offsets = offsets.tolist()
         for j, first, end in zip(range(start, stop), offsets, offsets[1:]):
             np.maximum.reduce(sims[first:end], axis=0, out=rows[j])
     return rows
 
 
 def _pool_bytes(bounds: np.ndarray, n_q: int) -> int:
-    """Bytes :func:`_pool_max_sim_matrix` allocates against ``n_q`` probe
-    tokens: the float64 rows of every candidate plus one product buffer."""
-    widest = max(width for _, _, width in _pool_chunks(bounds, n_q))
+    """Bytes :func:`_max_sim_matrix` allocates against ``n_q`` probe tokens:
+    the float64 rows of every candidate plus one product buffer as wide as
+    the widest chunk."""
+    widest = max(width for _, _, width in _chunks(bounds, _CHUNK_ELEMENTS // n_q))
     return 8 * n_q * (len(bounds) - 1 + widest)
 
 
@@ -381,7 +352,7 @@ def build_candidate_pool(
 
     # row j holds candidate j's best similarity to every probe token; the
     # candidates are stacked one chunk at a time, never all at once
-    rows = _pool_max_sim_matrix(
+    rows = _max_sim_matrix(
         probe_tokens,
         bounds,
         lambda start, stop: np.concatenate([e.token_vectors for e in cand_embs[start:stop]]),

@@ -188,13 +188,13 @@ _REPLY_KEYS = ("dim", "tokens", "sentence")
 _FILE_RECORD_KEYS = ("id", "fields_hash") + _REPLY_KEYS
 
 
-def _embedding_record(text, where: str, keys: tuple[str, ...], dim: int) -> dict:
+def _embedding_record(data: bytes, where: str, keys: tuple[str, ...], dim: int) -> dict:
     """One embedding record: a JSON object holding every one of ``keys``,
     whose ids are strings and whose ``dim`` is a JSON integer equal to
     ``dim``, with ``tokens`` and ``sentence`` converted to float64 arrays.
     A malformed record raises :class:`EmbeddingError` prefixed with ``where``.
     """
-    record = _json_object(text, where, EmbeddingError)
+    record = _json_object(data, where, EmbeddingError)
     missing = [key for key in keys if key not in record]
     if missing:
         raise EmbeddingError(f"{where}: missing {', '.join(missing)}")

@@ -79,6 +79,8 @@ class LLMConfig:
             raise ValueError("max_retries must be nonnegative")
         if self.char_budget < 1:
             raise ValueError(f"char_budget must be at least 1, got {self.char_budget}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a positive number of seconds, got {self.timeout!r}")
 
 
 @dataclass
@@ -282,17 +284,15 @@ class _ConnectionPool:
     The route is fixed when the pool is made: the URL's host, port and path,
     the proxy (``HTTP(S)_PROXY``, ``NO_PROXY``) and, for https, the SSL
     context from ``REQUESTS_CA_BUNDLE``, else ``CURL_CA_BUNDLE``. A malformed
-    URL, a CA bundle that does not load or a timeout outside (0, inf) raises
-    ``ValueError`` there. A request takes an idle connection or opens one, so
-    no more are open than requests were ever in flight at once. A connection
-    goes back to the idle list only after its whole body was read; on any
-    error it is closed. An idle connection the server has closed is replaced
-    before use, so a connection that timed out while idle costs no retry.
+    URL or a CA bundle that does not load raises ``ValueError`` there. A
+    request takes an idle connection or opens one, so no more are open than
+    requests were ever in flight at once. A connection goes back to the idle
+    list only after its whole body was read; on any error it is closed. An
+    idle connection the server has closed is replaced before use, so a
+    connection that timed out while idle costs no retry.
     """
 
     def __init__(self, url: str, timeout: float):
-        if not 0 < timeout < math.inf:
-            raise ValueError(f"timeout must be a positive number of seconds, got {timeout!r}")
         scheme, host, port, self._path = _split_url(url)
         proxy = urllib.request.getproxies().get(scheme)
         if proxy and not urllib.request.proxy_bypass(host):
@@ -403,9 +403,10 @@ def _retry(call: Callable, max_retries: int, sleep: Callable[[float], None], att
 class ChatCompletionsClient:
     """OpenAI-compatible chat-completions client (single attempt per call;
     the retry policy lives in :func:`classify`). The endpoint URL, its proxy
-    route, the CA bundle and the timeout are fixed and checked when the
-    client is made, so a bad one raises ``ValueError`` here; the API key is
-    read on every call.
+    route and the CA bundle are fixed and checked when the client is made,
+    so a bad one raises ``ValueError`` here (the timeout is checked by
+    :class:`LLMConfig`); the API key is read on every call. A reply whose
+    message content is not a string is a malformed body.
     """
 
     def __init__(self, cfg: LLMConfig):
@@ -418,7 +419,7 @@ class ChatCompletionsClient:
         payload = {"model": self.cfg.model_name, "messages": messages, "temperature": self.cfg.temperature}
         body = self._pool.post(payload, {"Authorization": f"Bearer {key}"} if key else None)
         try:
-            return json.loads(body)["choices"][0]["message"]["content"]
+            return _typed(json.loads(body)["choices"][0]["message"]["content"], str, "message content")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed response body: {exc}") from exc
 

@@ -501,7 +501,11 @@ class TestOneProviderPerRun:
 
 
 EMBEDDING_RECORD = {"id": "a", "fields_hash": "fh", "dim": 4, "tokens": [[1, 0, 0, 0]], "sentence": [1, 0, 0, 0]}
-BAD_EMBEDDING_LINES = [('{"id": "a", "dim', "malformed JSON"), ("[1, 2]", "expected a JSON object")] + [
+BAD_EMBEDDING_LINES = [
+    ('{"id": "a", "dim', "malformed JSON"),
+    ("[1, 2]", "expected a JSON object"),
+    ('{"id": "caf\udce9"}', "not UTF-8 at byte 11 (invalid continuation byte)"),
+] + [
     (json.dumps({k: v for k, v in EMBEDDING_RECORD.items() if k != key}), f"missing {key}")
     for key in EMBEDDING_RECORD
 ] + [
@@ -589,7 +593,7 @@ class TestErrors:
         row = json.loads(lines[2])
         del row["gain"]
         lines[2] = json.dumps(row)
-        pool_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pool_path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         capsys.readouterr()
         code = main(
             ["classify", "--dataset", str(test_path), "--train-dataset", str(train_path), "--k", "4",
@@ -623,9 +627,13 @@ class TestErrors:
         assert str(path) in err and "line 2" in err and "'query_id'" in err
 
     # a row that is valid JSON but not an object, a truncated row, the same
-    # two faults on the header line, a header of another kind, and a field of
-    # the wrong type or value: each names the file and its line
-    BAD_ROWS = [(1, "[1, 2]"), (1, '{"kind": "predi'), (3, '"x"'), (3, "[1, 2]"), (3, '{"id": "a", "lab')]
+    # two faults on the header line, a row that is not UTF-8, a header of
+    # another kind, and a field of the wrong type or value: each names the
+    # file and its line
+    BAD_ROWS = [
+        (1, "[1, 2]"), (1, '{"kind": "predi'), (3, '"x"'), (3, "[1, 2]"), (3, '{"id": "a", "lab'),
+        (3, '{"id": "caf\udce9"}'),
+    ]
 
     BAD_POOL_FIELDS = [
         (3, '{"id": "train-00000", "label": "purple", "rank": 2, "gain": 0.5}'),
@@ -666,7 +674,7 @@ class TestErrors:
         ]
         lines[lineno - 1] = bad
         pool_path = out / "pool.jsonl"
-        pool_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pool_path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         code = main(
             ["classify", "--dataset", str(test_path), "--train-dataset", str(train_path), "--k", "4",
              "--mock", "echo_majority"] + base_flags(out)
@@ -696,7 +704,7 @@ class TestErrors:
             json.dumps(dict(row, query_id=f"q{j}")) for j in range(3)
         ]
         lines[lineno - 1] = bad
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         code = main(["eval", "--predictions", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
@@ -757,7 +765,7 @@ class TestErrors:
     def test_malformed_embedding_file_is_a_located_clean_exit(self, corpus_files, tmp_path, capsys, bad, reason):
         train_path, _ = corpus_files
         path = tmp_path / "emb.jsonl"
-        path.write_text(json.dumps(EMBEDDING_RECORD) + "\n" + bad + "\n", encoding="utf-8")
+        path.write_text(json.dumps(EMBEDDING_RECORD) + "\n" + bad + "\n", encoding="utf-8", errors="surrogateescape")
         flags = base_flags(tmp_path / "out")
         flags[flags.index("hashed")] = f"file:{path}"
         flags[flags.index("16")] = "4"
@@ -769,7 +777,7 @@ class TestErrors:
         assert f"{path}: line 2: {reason}" in err
 
     # config values of the wrong type, a resample count the bootstrap cannot
-    # use, a file holding no object and a file that is not JSON
+    # use, a file holding no object, a file that is not JSON and one that is not UTF-8
     BAD_CONFIGS = [
         (json.dumps({key: value}), key)
         for key, value in [
@@ -777,7 +785,7 @@ class TestErrors:
             ("char_budget", None), ("char_budget", 0), ("char_budget", -1), ("bootstrap_resamples", "10"),
             ("bootstrap_resamples", 0), ("bootstrap_resamples", -1), ("label_scheme", ["x"]),
         ]
-    ] + [('["k"]', None), ("{k: 4", None)]
+    ] + [('["k"]', None), ("{k: 4", None), ('{"k": "caf\udce9"}', None)]
 
     @pytest.mark.parametrize("text,key", BAD_CONFIGS)
     def test_bad_config_value_is_a_clean_exit(self, corpus_files, tmp_path, capsys, text, key):
@@ -785,7 +793,7 @@ class TestErrors:
         out = tmp_path / "grid"
         assert main(["pool", "--train-dataset", str(train_path), "--pool-size", "24"] + base_flags(out)) == 0
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(text, encoding="utf-8")
+        cfg_path.write_text(text, encoding="utf-8", errors="surrogateescape")
         capsys.readouterr()
         assert main(ablate_flags(train_path, test_path, out) + ["--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
@@ -843,6 +851,32 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
         assert work == [] and not out.exists()
         assert FakeEndpoint.requests_seen == []
+
+    # the LLM settings are checked also when a mock answers
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"timeout": 0}, "timeout must be a positive number of seconds, got 0"),
+            ({"timeout": -1}, "timeout must be a positive number of seconds, got -1"),
+            ({"max_in_flight": 0}, "max_in_flight must be at least 1"),
+            ({"temperature": -1}, "temperature must be nonnegative"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["classify", "ablate"])
+    def test_bad_llm_setting_stops_a_mock_run_before_any_work(
+        self, corpus_files, tmp_path, capsys, monkeypatch, command, config, named
+    ):
+        train_path, test_path = corpus_files
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        work = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: work.append("load_dataset"))
+        out = tmp_path / "out"
+        argv = [command, "--dataset", str(test_path), "--train-dataset", str(train_path), "--config", str(cfg_path)]
+        argv += ["--mock", "echo_majority"] + (["--k", "4"] if command == "classify" else [])
+        assert main(argv + base_flags(out)) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {named}\n"
+        assert work == [] and not out.exists()
 
     def test_bad_embedding_url_stops_classify_before_any_work(self, corpus_files, tmp_path, capsys, monkeypatch):
         train_path, test_path = corpus_files

@@ -81,7 +81,7 @@ class TestIdeology:
 class TestLoadDataset:
     def write(self, tmp_path, lines):
         path = tmp_path / "data.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         return path
 
     def test_score_mapped_to_label(self, tmp_path):
@@ -107,6 +107,14 @@ class TestLoadDataset:
     def test_malformed_json_names_line(self, tmp_path):
         path = self.write(tmp_path, ['{"id":"a","title":"t","score":0.0}', "{not json"])
         with pytest.raises(DatasetError, match="line 2"):
+            load_dataset(path, YT)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lines_end_at_any_newline(self, tmp_path, newline):
+        path = tmp_path / "data.jsonl"
+        rows = ['{"id":"a","title":"t","score":0.0}', '{"id":"b","title":"u","score":0.1}', "{not json"]
+        path.write_bytes(newline.join(rows).encode("utf-8"))
+        with pytest.raises(DatasetError, match=f"^{path}: line 3: malformed JSON"):
             load_dataset(path, YT)
 
     def test_missing_title(self, tmp_path):
@@ -138,10 +146,11 @@ class TestLoadDataset:
                 "flags.news_channel must be a boolean or null, got 3",
             ),
             ('{"id":"a","title":"u","score":0.1}', "duplicate id 'a' (first seen at line 1)"),
+            ('{"id":"b","title":"caf\udce9","score":0.1}', "not UTF-8 at byte 22 (invalid continuation byte)"),
         ],
         ids=[
             "title", "label", "score", "score_bool", "source", "description", "flags", "political", "news_channel",
-            "duplicate",
+            "duplicate", "not_utf8",
         ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, bad, message):
@@ -226,10 +235,10 @@ class TestSourceMap:
         path.write_text(json.dumps({"MSNBC": "liberal"}), encoding="utf-8")
         assert SourceIdeologyMap.load(path).lookup("msnbc") is Ideology.LIBERAL
 
-    @pytest.mark.parametrize("text", ['{"MSNBC": "lib', '["MSNBC"]'])
+    @pytest.mark.parametrize("text", ['{"MSNBC": "lib', '["MSNBC"]', '{"MSNBC": "caf\udce9"}'])
     def test_malformed_file_names_the_file(self, tmp_path, text):
         path = tmp_path / "sources.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
         with pytest.raises(DatasetError, match=f"^{path}: "):
             SourceIdeologyMap.load(path)
 

@@ -15,7 +15,6 @@ from ideolab.coverage import (
     RankedEntry,
     _bounds,
     _max_sim_matrix,
-    _pool_max_sim_matrix,
     bsr,
     build_candidate_pool,
     order_for_query,
@@ -75,21 +74,28 @@ def strided_lazy_greedy(token_sets, n, probe_size, seed):
     return picked, gains
 
 
-def max_sim_rows(query_tokens, token_sets, kernel=_max_sim_matrix):
-    """``kernel`` over sets stacked one chunk at a time, as the pool build stacks them."""
-    return kernel(query_tokens, _bounds([len(t) for t in token_sets]), lambda a, b: np.concatenate(token_sets[a:b]))
+def max_sim_rows(query_tokens, token_sets):
+    """The kernel over sets stacked one chunk at a time, as the pool build stacks them."""
+    bounds = _bounds([len(t) for t in token_sets])
+    return _max_sim_matrix(query_tokens, bounds, lambda a, b: np.concatenate(token_sets[a:b]))
 
 
 def chunks_by_set_loop(counts, n_q):
-    """Reference ordering split: runs of sets within ``_MAX_CHUNK_ELEMENTS``
-    floats of product, but at least 1024 tokens wide."""
-    return runs_within(counts, max(1024, coverage._MAX_CHUNK_ELEMENTS // max(n_q, 1)))
+    """Reference split: runs of sets within ``_CHUNK_ELEMENTS`` floats of
+    product, with no floor on the width."""
+    return runs_within(counts, coverage._CHUNK_ELEMENTS // n_q)
 
 
-def pool_chunks_by_set_loop(counts, n_q):
-    """Reference pool-build split: runs of sets within ``_POOL_CHUNK_ELEMENTS``
-    floats of product, with no floor on the width."""
-    return runs_within(counts, coverage._POOL_CHUNK_ELEMENTS // n_q)
+def candidate_major_rows(query_tokens, token_sets):
+    """Reference matrix: each chunk of the reference split stacked by
+    ``concatenate`` and multiplied candidate-major, then one maximum per set."""
+    rows = np.empty((len(token_sets), query_tokens.shape[0]))
+    for start, stop in chunks_by_set_loop([len(t) for t in token_sets], query_tokens.shape[0]):
+        sims = np.concatenate(token_sets[start:stop]) @ query_tokens.T
+        bounds = _bounds([len(t) for t in token_sets[start:stop]])
+        for j in range(start, stop):
+            rows[j] = sims[bounds[j - start] : bounds[j - start + 1]].max(axis=0)
+    return rows
 
 
 def runs_within(counts, budget):
@@ -109,16 +115,11 @@ def runs_within(counts, budget):
 
 
 def concatenating_order(query_tokens, token_sets, mode):
-    """Reference ordering: the similarity chunks are split by a per-set loop
-    and stacked by ``concatenate`` for every query, then ranked by the same
-    arithmetic as order_for_query. Returns (order, gains, coverage) lists."""
+    """Reference ordering: the similarity matrix of :func:`candidate_major_rows`,
+    ranked by the same arithmetic as order_for_query. Returns (order, gains,
+    coverage) lists."""
     n_q = query_tokens.shape[0]
-    rows = np.empty((len(token_sets), n_q))
-    for start, stop in chunks_by_set_loop([len(t) for t in token_sets], n_q):
-        chunk = token_sets[start:stop]
-        sims = query_tokens @ np.concatenate(chunk, axis=0).T
-        offsets = np.cumsum([0] + [len(t) for t in chunk[:-1]])
-        rows[start:stop] = np.maximum.reduceat(sims, offsets, axis=1).T
+    rows = candidate_major_rows(query_tokens, token_sets)
     sims = np.ascontiguousarray(rows.T)
     scores = sims.mean(axis=0)
     picked = []
@@ -149,10 +150,10 @@ def in_index_order(picked, twin):
 
 
 def assert_pool_peak_within_one_capped_product(monkeypatch, elements, n_q, wide=None):
-    """The pool kernel's traced peak over 400 sets of 6 tokens (one set
-    ``wide`` tokens if given) is the rows, one product of at most
-    ``elements`` floats, unless one set alone is wider, and one stacked block."""
-    monkeypatch.setattr(coverage, "_POOL_CHUNK_ELEMENTS", elements)
+    """The kernel's traced peak over 400 sets of 6 tokens (one set ``wide``
+    tokens if given) is the rows, one product of at most ``elements``
+    floats, unless one set alone is wider, and one stacked block."""
+    monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", elements)
     rng = np.random.default_rng(37)
     dim = 16
     query = random_token_set(rng, dim, min_tokens=n_q, max_tokens=n_q)
@@ -161,7 +162,7 @@ def assert_pool_peak_within_one_capped_product(monkeypatch, elements, n_q, wide=
         sets[200] = random_token_set(rng, dim, min_tokens=wide, max_tokens=wide)
     tracemalloc.start()
     try:
-        rows = max_sim_rows(query, sets, _pool_max_sim_matrix)
+        rows = max_sim_rows(query, sets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -268,24 +269,24 @@ class TestSetCoverage:
 
 
 class TestMaxSimMatrix:
-    def test_rows_match_per_candidate_sims_across_chunks(self, monkeypatch):
-        # the smallest budget (1024 candidate tokens per chunk) splits this pool
-        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1)
+    @pytest.mark.parametrize("elements", [1, 6000])
+    def test_rows_match_per_candidate_sims(self, monkeypatch, elements):
+        # a one-float cap makes every candidate a chunk alone; 6000 floats
+        # stack several candidates per chunk
+        monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", elements)
         rng = np.random.default_rng(13)
         dim = 16
         query = make_embedding("q", random_token_set(rng, dim, min_tokens=9, max_tokens=20))
         cands = [make_embedding(f"c{j}", random_token_set(rng, dim, max_tokens=8)) for j in range(500)]
-        assert sum(c.n_tokens for c in cands) > 2 * 1024
         rows = max_sim_rows(query.token_vectors, [c.token_vectors for c in cands])
         assert rows.shape == (len(cands), query.n_tokens)
         for j, cand in enumerate(cands):
-            # BLAS rounding depends on the column count of the product
+            # BLAS rounding depends on the shape of the product
             np.testing.assert_allclose(rows[j], token_max_sims(query, cand), rtol=0, atol=1e-12)
-
 
     @pytest.mark.parametrize("elements", [1, 6000, 40_000])
     def test_chunks_split_as_the_per_set_loop_did(self, monkeypatch, elements):
-        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", elements)
+        monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", elements)
         rng = np.random.default_rng(elements)
         for trial in range(40):
             counts = rng.integers(1, 400, size=int(rng.integers(1, 60))).tolist()
@@ -302,97 +303,82 @@ class TestMaxSimMatrix:
             assert seen == chunks_by_set_loop(counts, n_q)
             assert rows.shape == (len(counts), n_q)
 
+    @pytest.mark.parametrize("elements", [1, 6000, 40_000])
+    def test_equals_per_chunk_candidate_major_reference(self, monkeypatch, elements):
+        # variable token counts around one set wider than any budget, so the
+        # product buffer must fit a chunk wider than the one before it
+        monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", elements)
+        rng = np.random.default_rng(elements + 7)
+        dim = 8
+        for _ in range(6):
+            n_q = int(rng.integers(1, 9))
+            counts = rng.integers(1, 400, size=int(rng.integers(1, 40))).tolist()
+            counts.insert(int(rng.integers(1, len(counts) + 1)), elements // n_q + int(rng.integers(1, 500)))
+            query = random_token_set(rng, dim, min_tokens=n_q, max_tokens=n_q)
+            sets = [random_token_set(rng, dim, min_tokens=c, max_tokens=c) for c in counts]
+            assert np.array_equal(max_sim_rows(query, sets), candidate_major_rows(query, sets))
+
     def test_oversized_set_after_a_narrower_chunk(self, monkeypatch):
         # budget 1024 tokens: chunks of 900, then the 2000-token set alone,
         # then 600, so the product buffer must fit the widest chunk, not the first
-        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", 5 * 1024)
         rng = np.random.default_rng(29)
         dim = 8
         query = random_token_set(rng, dim, min_tokens=5, max_tokens=5)
         counts = [300, 300, 300, 2000, 100, 500]
         sets = [random_token_set(rng, dim, min_tokens=c, max_tokens=c) for c in counts]
-        chunks = chunks_by_set_loop(counts, query.shape[0])
-        assert chunks == [(0, 3), (3, 4), (4, 6)]
-        expected = np.empty((len(sets), query.shape[0]))
-        for start, stop in chunks:
-            sims = query @ np.concatenate(sets[start:stop]).T
-            offsets = _bounds(counts[start:stop])[:-1]
-            expected[start:stop] = np.maximum.reduceat(sims, offsets, axis=1).T
-        assert np.array_equal(max_sim_rows(query, sets), expected)
+        assert chunks_by_set_loop(counts, query.shape[0]) == [(0, 3), (3, 4), (4, 6)]
+        assert np.array_equal(max_sim_rows(query, sets), candidate_major_rows(query, sets))
+
+    @pytest.mark.parametrize("n_q", [1, coverage._REDUCEAT_QUERY_TOKENS - 1, coverage._REDUCEAT_QUERY_TOKENS, 3000])
+    def test_both_reductions_give_the_same_rows(self, monkeypatch, n_q):
+        # a 40-token budget at any n_q: chunks of short sets, then a 60-token
+        # set alone, so each reduction also fills a chunk wider than the one before
+        monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", 40 * n_q)
+        rng = np.random.default_rng(n_q)
+        dim = 16
+        query = random_token_set(rng, dim, min_tokens=n_q, max_tokens=n_q)
+        counts = rng.integers(1, 10, size=30).tolist()
+        counts.insert(12, 60)
+        sets = [random_token_set(rng, dim, min_tokens=c, max_tokens=c) for c in counts]
+        default = max_sim_rows(query, sets)
+        monkeypatch.setattr(coverage, "_REDUCEAT_QUERY_TOKENS", n_q + 1)
+        by_reduceat = max_sim_rows(query, sets)
+        monkeypatch.setattr(coverage, "_REDUCEAT_QUERY_TOKENS", n_q)
+        per_set = max_sim_rows(query, sets)
+        assert np.array_equal(by_reduceat, per_set)
+        assert np.array_equal(default, per_set)
+        assert np.array_equal(default, candidate_major_rows(query, sets))
 
     def test_peak_memory_is_rows_plus_one_chunk_product(self, monkeypatch):
-        # at most 1024 tokens per chunk: the 400 sets of 6 tokens make three
-        # chunks, so a product or a maxima temporary made per chunk shows here
-        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1_200_000)
-        rng = np.random.default_rng(31)
-        dim = 16
-        query = random_token_set(rng, dim, min_tokens=1200, max_tokens=1200)
-        sets = [random_token_set(rng, dim, min_tokens=6, max_tokens=6) for _ in range(400)]
-        tracemalloc.start()
-        try:
-            rows = max_sim_rows(query, sets)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        budget = max(1024, coverage._MAX_CHUNK_ELEMENTS // query.shape[0])  # tokens per chunk
-        chunk_product = 8 * query.shape[0] * budget
-        stacked_block = 8 * dim * budget
-        assert peak <= rows.nbytes + chunk_product + stacked_block
-
-
-class TestPoolMaxSimMatrix:
-    @pytest.mark.parametrize("elements", [1, 6000, 40_000])
-    def test_equals_per_chunk_candidate_major_reference(self, monkeypatch, elements):
-        # variable token counts around one set wider than any budget, so the
-        # product buffer must fit a chunk wider than the one before it
-        monkeypatch.setattr(coverage, "_POOL_CHUNK_ELEMENTS", elements)
-        rng = np.random.default_rng(elements + 7)
-        dim = 8
-        for _ in range(6):
-            n_q = int(rng.integers(1, 9))
-            budget = elements // n_q
-            counts = rng.integers(1, 400, size=int(rng.integers(1, 40))).tolist()
-            counts.insert(int(rng.integers(1, len(counts) + 1)), budget + int(rng.integers(1, 500)))
-            query = random_token_set(rng, dim, min_tokens=n_q, max_tokens=n_q)
-            sets = [random_token_set(rng, dim, min_tokens=c, max_tokens=c) for c in counts]
-            seen = []
-
-            def block(start, stop):
-                seen.append((start, stop))
-                return np.concatenate(sets[start:stop])
-
-            rows = _pool_max_sim_matrix(query, _bounds(counts), block)
-            chunks = pool_chunks_by_set_loop(counts, n_q)
-            assert seen == chunks
-            expected = np.empty((len(sets), n_q))
-            for start, stop in chunks:
-                sims = np.concatenate(sets[start:stop]) @ query.T
-                bounds = _bounds(counts[start:stop])
-                for j in range(start, stop):
-                    expected[j] = sims[bounds[j - start] : bounds[j - start + 1]].max(axis=0)
-            assert np.array_equal(rows, expected)
-
-    def test_rows_match_per_candidate_sims(self, monkeypatch):
-        # a one-float cap: every candidate is a chunk alone
-        monkeypatch.setattr(coverage, "_POOL_CHUNK_ELEMENTS", 1)
-        rng = np.random.default_rng(17)
-        dim = 16
-        query = make_embedding("q", random_token_set(rng, dim, min_tokens=9, max_tokens=20))
-        cands = [make_embedding(f"c{j}", random_token_set(rng, dim, max_tokens=8)) for j in range(500)]
-        rows = max_sim_rows(query.token_vectors, [c.token_vectors for c in cands], _pool_max_sim_matrix)
-        for j, cand in enumerate(cands):
-            np.testing.assert_allclose(rows[j], token_max_sims(query, cand), rtol=0, atol=1e-12)
-
-    def test_peak_memory_is_rows_plus_one_chunk_product(self, monkeypatch):
-        # 1200 probe tokens: a 1000-token budget, under the old floor's 1171
+        # 1200 query tokens: a 1000-token budget, so the 400 sets of 6 tokens
+        # make three chunks and a product or a maxima temporary made per chunk shows
         assert_pool_peak_within_one_capped_product(monkeypatch, 1_200_000, 1200)
 
     @pytest.mark.parametrize("wide", [None, 700])
     def test_peak_memory_above_the_old_floor(self, monkeypatch, wide):
-        # 2000 probe tokens with a 1,000,000-float cap: a 500-token budget,
+        # 2000 query tokens with a 1,000,000-float cap: a 500-token budget,
         # where a 1024-token floor would double the product; a 700-token set
         # is wider than the budget and so a chunk alone
         assert_pool_peak_within_one_capped_product(monkeypatch, 1_000_000, 2000, wide)
+
+    def test_default_cap_holds_for_a_long_query_against_a_pool_index(self):
+        # 8000 query tokens against 1200 stacked pool tokens, sliced as
+        # order_for_query slices its index: a 131-token budget, where a
+        # 1024-token floor made the product 8000 x 1024 floats (65 MB)
+        rng = np.random.default_rng(43)
+        dim = 16
+        query = random_token_set(rng, dim, min_tokens=8000, max_tokens=8000)
+        tokens = np.concatenate([random_token_set(rng, dim, min_tokens=6, max_tokens=6) for _ in range(200)])
+        bounds = _bounds([6] * 200)
+        tracemalloc.start()
+        try:
+            rows = _max_sim_matrix(query, bounds, lambda start, stop: tokens[bounds[start] : bounds[stop]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        widest = coverage._CHUNK_ELEMENTS // 8000 // 6 * 6
+        assert peak <= rows.nbytes + 8 * coverage._CHUNK_ELEMENTS + 8 * dim * widest
 
     def test_default_cap_equals_one_unsplit_product(self):
         # hashed titles of 6 tokens: 500 probe titles make 3000 probe tokens,
@@ -403,9 +389,9 @@ class TestPoolMaxSimMatrix:
         probe, cands = np.concatenate(sets[:500]), sets[500:]
         assert probe.shape[0] == 3000
         bounds = _bounds([len(c) for c in cands])
-        assert len(coverage._pool_chunks(bounds, probe.shape[0])) > 1
+        assert len(chunks_by_set_loop(np.diff(bounds).tolist(), probe.shape[0])) > 1
         unsplit = np.maximum.reduceat(np.concatenate(cands) @ probe.T, bounds[:-1], axis=0)
-        assert np.array_equal(max_sim_rows(probe, cands, _pool_max_sim_matrix), unsplit)
+        assert np.array_equal(max_sim_rows(probe, cands), unsplit)
 
 
 class TestMemoryRefusal:
@@ -756,17 +742,17 @@ class TestPoolIndex:
 class TestChunkedOrdering:
     @pytest.mark.parametrize("mode", ["set_bsr_greedy", "independent_bsr"])
     def test_equals_concatenating_reference_across_chunks(self, monkeypatch, mode):
-        # the smallest budget (1024 candidate tokens per chunk) splits this pool
-        monkeypatch.setattr(coverage, "_MAX_CHUNK_ELEMENTS", 1)
+        # 20,000 floats: chunks of 1000 to 2222 candidate tokens split this pool
+        monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", 20_000)
         rng = np.random.default_rng(67)
         dim = 12
         items = labeled_items(600)
         emb = {it.id: make_embedding(it.id, random_token_set(rng, dim, max_tokens=8)) for it in items}
         pool = CandidatePool(entries=[coverage.PoolEntry(it.id, it.label, 0.0) for it in items])
         token_sets = [emb[i].token_vectors for i in pool.ids()]
-        assert sum(len(t) for t in token_sets) > 2 * 1024
         for trial in range(4):
             query = make_embedding("q", random_token_set(rng, dim, min_tokens=9, max_tokens=20))
+            assert len(chunks_by_set_loop([len(t) for t in token_sets], query.n_tokens)) > 1
             order, gains, cum = concatenating_order(query.token_vectors, token_sets, mode)
             got = order_for_query(query, pool, emb, mode=mode).ranked
             assert [r.item_id for r in got] == [pool.ids()[j] for j in order]

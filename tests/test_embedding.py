@@ -505,7 +505,10 @@ class TestPrecomputedFile:
 
 
 REPLY = {"dim": 4, "tokens": [[1, 0, 0, 0]], "sentence": [1, 0, 0, 0]}
-BAD_REPLIES = [(b"[1, 2]", "expected a JSON object")] + [
+BAD_REPLIES = [
+    (b"[1, 2]", "expected a JSON object"),
+    (b'{"dim": 4, "tokens": "caf\xe9"}', "not UTF-8 at byte 25 (invalid continuation byte)"),
+] + [
     (json.dumps({k: v for k, v in REPLY.items() if k != key}).encode(), f"missing {key}") for key in REPLY
 ] + [
     (json.dumps(dict(REPLY, **{key: value})).encode(), reason)

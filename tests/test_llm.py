@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import json
 import math
 import os
 import random
@@ -445,6 +446,26 @@ class TestHttpClient:
         assert by_id["q2"].pred is None
         assert by_id["q2"].raw_response.startswith("[error] request failed")
         assert all(by_id[q].parse_status == "ok" for q in ("q0", "q1", "q3"))
+
+    # null is what the API answers on a refusal or a content filter
+    @pytest.mark.parametrize("cot", [False, True])
+    @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "liberal"}], 3])
+    def test_reply_content_not_a_string_is_a_transport_error(self, fake_endpoint, make_client, content, cot):
+        reply = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}).encode()
+        FakeEndpoint.choose = lambda body: reply if "Title: q2" in body["messages"][-1]["content"] else "ok"
+        cfg = LLMConfig(base_url=fake_endpoint, max_in_flight=2, max_retries=1)
+        tasks = [
+            (f"q{i}", N, RenderedPrompt("Classify.", (), PromptBlock((("Title", f"q{i}"),)), cot=cot))
+            for i in range(4)
+        ]
+        records = classify_batch(tasks, cfg, make_client(cfg), sleep=lambda _: None)
+        by_id = {r.query_id: r for r in records}
+        assert by_id["q2"].parse_status == "transport_error" and by_id["q2"].attempts == 2
+        assert by_id["q2"].raw_response == (
+            f"[error] malformed response body: message content must be a string, got {json.dumps(content)}"
+        )
+        for q in ("q0", "q1", "q3"):
+            assert (by_id[q].pred, by_id[q].parse_status, by_id[q].raw_response) == (L, "ok", "The answer is liberal")
 
     def test_seeded_fault_mix_ends_every_record(self, fake_endpoint, make_client):
         rng = random.Random(1234)
